@@ -1,12 +1,14 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — dense route table, heap translation, engine charge
-//! coalescing, the Eq-4 argmin lanes, and the per-bank occupancy scans —
-//! each against the scalar/hash-map/write-through baseline it replaced, and
-//! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v3`).
+//! coalescing, the Eq-4 argmin lanes, the per-bank occupancy scans, and
+//! Fig 6's chunk oracle — each against the scalar/hash-map/write-through/
+//! quadratic baseline it replaced, and writes `BENCH_hotpath.json` (schema
+//! `aff-bench/hotpath-v4`).
 //! The route layer runs at 8×8 *and* 16×16 (both dense CSR since the
-//! 256-bank threshold raise), and a `route_memory` section records the
+//! 256-bank threshold raise), a `route_memory` section records the
 //! resident route-store bytes at 1024 banks against the dense `n²`
-//! entry-array curve.
+//! entry-array curve, and a `kron_gen` section records the Kronecker
+//! generator's throughput on the harness's scale-1 graph input.
 //!
 //! ```text
 //! cargo run --release -p aff-bench --bin hotpath -- [--ops N] [--out PATH]
@@ -15,12 +17,15 @@
 //! The access streams are seeded [`SimRng`] draws, so the measured work is
 //! identical run to run; only the wall-clock varies.
 
+use aff_ds::csr::ChunkedCsr;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::Topology;
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
+use aff_workloads::gen;
+use aff_workloads::suite::{BASE_KRON_SCALE, KRON_EDGE_FACTOR};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -310,8 +315,79 @@ fn bench_occupancy_scan(ops: u64) -> Layer {
     }
 }
 
-fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v3\",\n  \"layers\": [\n");
+/// Layer 6: Fig 6's chunk oracle — `ChunkedCsr::build`, which prices every
+/// bank from per-axis target histograms, versus `build_reference`, the
+/// `O(E · banks)` manhattan loop it replaced — over a Kronecker graph of
+/// about `ops / 32` edges on the 8×8 mesh, at every Fig 6 chunk size. Ops
+/// are edges placed.
+fn bench_chunk_oracle(ops: u64) -> Layer {
+    const CHUNK_BYTES: [u64; 5] = [4, 64, 256, 1024, 4096];
+    let topo = Topology::new(8, 8);
+    // Symmetrized Kronecker: 2 · edge_factor · 2^scale edges.
+    let scale = (ops / 32 / u64::from(2 * KRON_EDGE_FACTOR)).max(1).ilog2().clamp(6, 16);
+    let g = gen::kronecker(scale, KRON_EDGE_FACTOR, 0xC0C);
+    // Property arrays interleave 1 KiB per bank: 128 eight-byte vertices.
+    let vb: Vec<u32> = (0..g.num_vertices()).map(|v| (v / 128) % topo.num_banks()).collect();
+    let ops = g.num_edges() as u64 * CHUNK_BYTES.len() as u64;
+    let checksum = |c: &ChunkedCsr| -> u64 {
+        (0..c.num_chunks())
+            .map(|i| u64::from(c.bank_of_edge((i * c.chunk_edges()) as u64)))
+            .sum()
+    };
+
+    let t0 = Instant::now();
+    let fast: Vec<ChunkedCsr> = CHUNK_BYTES
+        .iter()
+        .map(|&b| ChunkedCsr::build(topo, &g, &vb, b, 0.02))
+        .collect();
+    let fast_secs = t0.elapsed().as_secs_f64();
+
+    let t0 = Instant::now();
+    let base: Vec<ChunkedCsr> = CHUNK_BYTES
+        .iter()
+        .map(|&b| ChunkedCsr::build_reference(topo, &g, &vb, b, 0.02))
+        .collect();
+    let base_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(fast, base, "chunk oracles must place every chunk identically");
+
+    Layer {
+        name: "chunk_oracle",
+        ops,
+        fast_mops: mops(ops, fast_secs),
+        base_mops: mops(ops, base_secs),
+        checksum: fast.iter().map(checksum).sum(),
+    }
+}
+
+/// Kronecker generation throughput on the harness's scale-1 input: the full
+/// generator, and the sssp weight pass that derives the weighted input from
+/// an already generated graph.
+struct KronGen {
+    scale: u32,
+    edges: usize,
+    edges_per_sec: f64,
+    weight_pass_edges_per_sec: f64,
+}
+
+fn measure_kron_gen() -> KronGen {
+    let scale = BASE_KRON_SCALE;
+    let t0 = Instant::now();
+    let g = gen::kronecker(scale, KRON_EDGE_FACTOR, 2023);
+    let gen_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let w = gen::kronecker_weights(&g, 2023);
+    let weight_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(w.num_edges(), g.num_edges());
+    KronGen {
+        scale,
+        edges: g.num_edges(),
+        edges_per_sec: g.num_edges() as f64 / gen_secs.max(1e-12),
+        weight_pass_edges_per_sec: g.num_edges() as f64 / weight_secs.max(1e-12),
+    }
+}
+
+fn render_json(layers: &[Layer], mem: &RouteMemory, kron: &KronGen) -> String {
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v4\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -328,11 +404,16 @@ fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
     }
     out.push_str(&format!(
         "  ],\n  \"route_memory\": {{\"banks\": {}, \"on_demand_bytes\": {}, \
-         \"dense_entry_bytes\": {}, \"dense_over_on_demand\": {:.2}}}\n}}\n",
+         \"dense_entry_bytes\": {}, \"dense_over_on_demand\": {:.2}}},\n",
         mem.banks,
         mem.on_demand_bytes,
         mem.dense_entry_bytes,
         mem.dense_entry_bytes as f64 / mem.on_demand_bytes.max(1) as f64,
+    ));
+    out.push_str(&format!(
+        "  \"kron_gen\": {{\"scale\": {}, \"edges\": {}, \"edges_per_sec\": {:.0}, \
+         \"weight_pass_edges_per_sec\": {:.0}}}\n}}\n",
+        kron.scale, kron.edges, kron.edges_per_sec, kron.weight_pass_edges_per_sec,
     ));
     out
 }
@@ -374,6 +455,7 @@ fn main() {
         bench_coalescing(ops),
         bench_argmin(ops),
         bench_occupancy_scan(ops),
+        bench_chunk_oracle(ops),
     ];
     for l in &layers {
         println!(
@@ -392,7 +474,15 @@ fn main() {
         mem.dense_entry_bytes,
         mem.dense_entry_bytes as f64 / mem.on_demand_bytes.max(1) as f64
     );
-    let json = render_json(&layers, &mem);
+    let kron = measure_kron_gen();
+    println!(
+        "kron_gen @ scale {}: {} edges, {:.2} M edges/s generated, {:.2} M edges/s weight pass",
+        kron.scale,
+        kron.edges,
+        kron.edges_per_sec / 1e6,
+        kron.weight_pass_edges_per_sec / 1e6
+    );
+    let json = render_json(&layers, &mem, &kron);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(3);

@@ -231,13 +231,8 @@ pub fn fig4(opts: HarnessOpts) -> Figure {
     run_single(fig4_plan(opts), opts.seed)
 }
 
-fn fig6_graph(w: &str, opts: HarnessOpts) -> aff_ds::graph::Graph {
-    let scale = opts.graph_scale();
-    if w == "sssp" {
-        suite::kron_weighted_input(scale, opts.seed)
-    } else {
-        suite::kron_input(scale, opts.seed)
-    }
+fn fig6_graph(w: &str, opts: HarnessOpts) -> std::sync::Arc<aff_ds::graph::Graph> {
+    suite::kron_shared(opts.graph_scale(), opts.seed, w == "sssp")
 }
 
 fn fig6_run(w: &str, inst: GraphInstance) -> GraphRun {
@@ -262,8 +257,10 @@ const FIG6_CONFIGS: [(&str, Option<u64>); 6] = [
     ("Ind-Ideal", Some(0)), // chunk = one edge
 ];
 
-/// Fig 6 as a sweep plan: one cell per (workload, chunk config). Each cell
-/// regenerates the (deterministic) input graph, so cells share nothing.
+/// Fig 6 as a sweep plan: one cell per (workload, chunk config). Cells share
+/// only their immutable input graph: the 30 cells ask for two distinct
+/// Kronecker inputs (unweighted, and weighted for sssp), which the sweep's
+/// input cache builds once each (see [`suite::kron_shared`]).
 pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
     let mut b = PlanBuilder::new("fig6");
     // idx[wi][ci]: cell id backing row (workload, config); the "Base" config
@@ -477,7 +474,7 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
             let label = p.label();
             let id = b.cell(label.clone(), move |_| {
                 let cfg = opts.cfg(SystemConfig::AffAlloc(p));
-                let g = suite::kron_input(cfg.scale, cfg.seed);
+                let g = suite::kron_shared(cfg.scale, cfg.seed, false);
                 let src = pick_source(&g);
                 GraphInstance::new(g, &cfg)
                     .run_bfs(src, DirectionPolicy::PushOnly)
@@ -663,7 +660,7 @@ pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
     let mut b = PlanBuilder::new("fig17");
     let cell = b.cell("bfs_push", move |_| {
         let cfg = opts.cfg(hybrid5());
-        let g = suite::kron_input(cfg.scale, cfg.seed);
+        let g = suite::kron_shared(cfg.scale, cfg.seed, false);
         let n = f64::from(g.num_vertices());
         let m = g.num_edges() as f64;
         let src = pick_source(&g);
@@ -734,7 +731,7 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
         for (pl, policy) in policies {
             ids.push(b.cell(format!("{sl}/{pl}"), move |_| {
                 let cfg = opts.cfg(system);
-                let g = suite::kron_input(cfg.scale, cfg.seed);
+                let g = suite::kron_shared(cfg.scale, cfg.seed, false);
                 let src = pick_source(&g);
                 let r = GraphInstance::new(g, &cfg).run_bfs(src, policy);
                 let total: u64 = r.iters.iter().map(|i| i.examined_edges.max(1)).sum();

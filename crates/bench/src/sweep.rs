@@ -2,8 +2,9 @@
 //!
 //! Every figure decomposes into self-contained [`SweepCell`] jobs — one per
 //! (workload, config) point — that share **no** mutable state: each cell
-//! rebuilds its inputs (graphs, runtimes, traffic matrices) from the
-//! experiment seed, and any cell-local stochastic choice draws from a stream
+//! builds its runtimes and traffic matrices from the experiment seed, shares
+//! only immutable generated inputs (graphs) through the sweep's
+//! [`InputCache`], and any cell-local stochastic choice draws from a stream
 //! derived with [`SimRng::split`] from `(experiment seed, cell id)`, never
 //! from a generator another cell might have advanced. Cells therefore compute
 //! the same bits no matter which worker runs them or in which order.
@@ -45,6 +46,7 @@ use aff_sim_core::error::SimError;
 use aff_sim_core::fault::{self, FaultTimeline};
 use aff_sim_core::mine::{self, MinedTrace};
 use aff_sim_core::rng::SimRng;
+use aff_workloads::inputs::{self, InputCache};
 use aff_workloads::suite::SuiteRun;
 
 /// What one cell computed.
@@ -463,21 +465,29 @@ fn chaos_invariants(data: &CellData, timeline: &FaultTimeline) -> Result<(), Str
     Ok(())
 }
 
-/// One in-thread execution: install the attempt's chaos timeline (when
-/// present) for the duration of the job, catch panics, and hold the
-/// finished cell to the chaos invariants. The timeline is uninstalled even
-/// when the job panics — workers are reused across cells.
+/// One in-thread execution: install the sweep's input cache and the
+/// attempt's chaos timeline (when present) for the duration of the job,
+/// catch panics, and hold the finished cell to the chaos invariants. Both
+/// are uninstalled even when the job panics — workers are reused across
+/// cells, and a cache left behind would outlive its sweep.
 fn run_attempt(
     job: &CellJob,
     seed: u64,
     stream: u64,
     chaos: Option<FaultTimeline>,
+    inputs: Option<&Arc<InputCache>>,
 ) -> Result<CellData, String> {
     if let Some(tl) = &chaos {
         fault::install_thread_chaos(tl.clone());
     }
+    if let Some(cache) = inputs {
+        inputs::install_thread_inputs(Arc::clone(cache));
+    }
     let mut rng = SimRng::split(seed, stream);
     let result = catch_unwind(AssertUnwindSafe(|| job(&mut rng))).map_err(panic_message);
+    if inputs.is_some() {
+        let _ = inputs::take_thread_inputs();
+    }
     if chaos.is_some() {
         let _ = fault::take_thread_chaos();
     }
@@ -490,19 +500,26 @@ fn run_attempt(
 /// One execution attempt: inline on the calling worker, or — when a timeout
 /// is configured — on a watchdog thread that the worker abandons if the
 /// deadline passes (the thread keeps running detached; its result is
-/// discarded on arrival).
-fn attempt_cell(job: &CellJob, opts: &RunOpts, stream: u64) -> Result<CellData, String> {
+/// discarded on arrival, and its handle on the input cache keeps the cache
+/// alive until it finishes).
+fn attempt_cell(
+    job: &CellJob,
+    opts: &RunOpts,
+    stream: u64,
+    inputs: Option<&Arc<InputCache>>,
+) -> Result<CellData, String> {
     let seed = opts.seed;
     let chaos = chaos_timeline(opts, stream);
     match opts.cell_timeout_ms {
-        None => run_attempt(job, seed, stream, chaos),
+        None => run_attempt(job, seed, stream, chaos, inputs),
         Some(ms) => {
             let (tx, rx) = std::sync::mpsc::channel();
             let job = Arc::clone(job);
+            let inputs = inputs.cloned();
             let spawned = std::thread::Builder::new()
                 .name("sweep-cell".into())
                 .spawn(move || {
-                    let _ = tx.send(run_attempt(&job, seed, stream, chaos));
+                    let _ = tx.send(run_attempt(&job, seed, stream, chaos, inputs.as_ref()));
                 });
             match spawned {
                 Err(e) => Err(format!("could not spawn cell thread: {e}")),
@@ -518,14 +535,18 @@ fn attempt_cell(job: &CellJob, opts: &RunOpts, stream: u64) -> Result<CellData, 
 
 /// Run one task under the retry/timeout policy, catching panics so a broken
 /// cell degrades to an error outcome instead of killing the harness.
-fn run_task(task: Task, opts: &RunOpts) -> (usize, usize, CellOutcome, CellStat) {
+fn run_task(
+    task: Task,
+    opts: &RunOpts,
+    inputs: Option<&Arc<InputCache>>,
+) -> (usize, usize, CellOutcome, CellStat) {
     let base_stream = stream_id(task.figure, task.cell_idx);
     let start = Instant::now();
     let mut attempts = 0u32;
     let result = loop {
         let stream = retry_stream(base_stream, attempts);
         attempts += 1;
-        let result = attempt_cell(&task.job, opts, stream);
+        let result = attempt_cell(&task.job, opts, stream, inputs);
         if result.is_ok() || attempts > opts.max_retries {
             break result;
         }
@@ -653,7 +674,7 @@ fn journal_append(
 /// declaration order — the legacy entry point, equivalent to
 /// [`run_plans_opts`] with [`RunOpts::new`].
 ///
-/// Output is byte-identical for every `jobs >= 1`: cells share no state,
+/// Output is byte-identical for every `jobs >= 1`: cells share no mutable state,
 /// their RNG streams come from order-insensitive splitting, and both the
 /// outcome vector and the returned figures follow declaration order, not
 /// completion order. (The [`SweepReport`] records *measured* wall times and
@@ -666,7 +687,23 @@ pub fn run_plans(plans: Vec<SweepPlan>, jobs: usize, seed: u64) -> (Vec<Figure>,
 /// checkpoint journal, resume). The byte-identity guarantee extends to
 /// resumed runs: a journaled cell replays the exact bits it computed before
 /// the interruption, so `--resume` output matches an uninterrupted run.
+///
+/// Cells share generated inputs through one [`InputCache`] created for this
+/// call and dropped when it returns: each distinct input is built once per
+/// sweep. Inputs are immutable and equal to a direct build, so sharing never
+/// changes a byte of output.
 pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, SweepReport) {
+    run_plans_with_inputs(plans, opts, Some(&Arc::new(InputCache::new())))
+}
+
+/// [`run_plans_opts`] with the input cache supplied by the caller, or with
+/// none (`None`: every cell generates its own inputs). Tests use it to count
+/// builds and to compare against the unshared path.
+pub(crate) fn run_plans_with_inputs(
+    plans: Vec<SweepPlan>,
+    opts: &RunOpts,
+    inputs: Option<&Arc<InputCache>>,
+) -> (Vec<Figure>, SweepReport) {
     let jobs = opts.jobs.max(1);
     let seed = opts.seed;
     let total_start = Instant::now();
@@ -855,7 +892,7 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
             .map(|t| {
                 let key = opts.memo.is_some().then(|| memo_key_for(&t, opts, memo_salt));
                 let figure = t.figure;
-                let r = run_task(t, opts);
+                let r = run_task(t, opts, inputs);
                 journal_append(&journal, figure, r.1, &r.2, &r.3);
                 memo_fill(&memo, key, figure, r.1, &r.2, &r.3);
                 r
@@ -922,7 +959,7 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
                                     .is_some()
                                     .then(|| memo_key_for(&task, opts, memo_salt));
                                 let figure = task.figure;
-                                let r = run_task(task, opts);
+                                let r = run_task(task, opts, inputs);
                                 journal_append(journal, figure, r.1, &r.2, &r.3);
                                 memo_fill(memo, key, figure, r.1, &r.2, &r.3);
                                 out.push(r);
@@ -1443,7 +1480,7 @@ mod tests {
             e.bank_read_lines(9, 100);
             e.try_finish().expect("unlimited budget").into()
         });
-        let data = run_attempt(&job, 1, 2, Some(tl.clone())).expect("chaos cell runs clean");
+        let data = run_attempt(&job, 1, 2, Some(tl.clone()), None).expect("chaos cell runs clean");
         let m = data.metrics().expect("engine cell");
         assert_eq!(m.transitions, tl.events());
         assert_eq!(m.degradation.fault_epochs, 1);
@@ -1487,5 +1524,109 @@ mod tests {
                 assert!(seen.insert(stream_id(f, i)), "collision at {f}/{i}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod input_sharing {
+    use super::*;
+    use crate::figures::{fig16_plan, fig6_plan, HarnessOpts};
+    use aff_workloads::suite;
+
+    fn json(figures: &[Figure]) -> Vec<String> {
+        figures.iter().map(Figure::to_json).collect()
+    }
+
+    /// A plan whose cells each read the scale-1 graph input, recording its
+    /// edge count, plus an optional last cell that panics.
+    fn graph_plan(cells: usize, panic_last: bool) -> SweepPlan {
+        let mut b = PlanBuilder::new("shared");
+        for i in 0..cells {
+            b.cell(format!("cell{i}"), move |_| {
+                assert!(inputs::thread_inputs().is_some(), "cells run with the cache installed");
+                let g = suite::kron_shared(1, 2023, false);
+                assert!(!(panic_last && i + 1 == cells), "cell {i} breaks on purpose");
+                CellData::Rows {
+                    rows: vec![Row::new(format!("cell{i}"), vec![g.num_edges() as f64])],
+                    sim_cycles: 1,
+                }
+            });
+        }
+        b.merge(|o| {
+            let mut fig = Figure::new("shared", "t", vec!["edges"]);
+            for i in 0..o.len() {
+                if let Some(rows) = o.rows(i) {
+                    fig.rows.extend(rows.iter().cloned());
+                }
+            }
+            o.annotate_failures(&mut fig);
+            fig
+        })
+    }
+
+    /// Fig 6 + Fig 16 ask for 8 distinct Kronecker inputs over 66 cells:
+    /// at any job count each is built exactly once, every cell is served by
+    /// the cache, and the figures are byte-identical to the unshared path.
+    /// Release-only (three full sweeps); `INPUT_CACHE_E2E=1` forces it in
+    /// debug builds.
+    #[test]
+    fn fig6_fig16_build_each_input_once_and_match_the_unshared_path() {
+        if cfg!(debug_assertions) && std::env::var_os("INPUT_CACHE_E2E").is_none() {
+            return;
+        }
+        let opts = HarnessOpts::default();
+        let plans = || vec![fig6_plan(opts), fig16_plan(opts)];
+        let (unshared, report) = run_plans_with_inputs(plans(), &RunOpts::new(2, opts.seed), None);
+        assert_eq!(report.failures().count(), 0);
+        let want = json(&unshared);
+        for jobs in [1, 4] {
+            let cache = Arc::new(InputCache::new());
+            let (figs, report) =
+                run_plans_with_inputs(plans(), &RunOpts::new(jobs, opts.seed), Some(&cache));
+            assert_eq!(report.failures().count(), 0);
+            assert_eq!(json(&figs), want, "jobs {jobs}: shared inputs changed the figures");
+            // fig16: {unweighted, weighted} × |V| scales {1, 2, 4, 8}; fig6
+            // uses the two scale-1 inputs again.
+            assert_eq!(cache.built(), 8, "jobs {jobs}");
+            // 66 cell requests, plus each weighted build asking for its
+            // unweighted base once.
+            assert_eq!(cache.lookups(), 66 + 4, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn no_cache_stays_installed_after_a_panicking_cell_or_the_sweep() {
+        assert!(inputs::thread_inputs().is_none());
+        // jobs 1 runs every cell inline on this thread, so this thread is
+        // the worker; the last cell panics (and is retried once).
+        let opts = RunOpts {
+            max_retries: 1,
+            ..RunOpts::new(1, 7)
+        };
+        let cache = Arc::new(InputCache::new());
+        let (_, report) = run_plans_with_inputs(vec![graph_plan(3, true)], &opts, Some(&cache));
+        assert!(report.cells[..2].iter().all(|c| c.ok));
+        assert!(!report.cells[2].ok && report.cells[2].attempts == 2);
+        assert!(inputs::thread_inputs().is_none(), "cache leaked onto the worker");
+        assert_eq!(cache.built(), 1);
+        // The public entry point cleans up after itself too.
+        let _ = run_plans_opts(vec![graph_plan(2, true)], &RunOpts::new(1, 7));
+        assert!(inputs::thread_inputs().is_none());
+        // Only the sweep's own handle remains: nothing else kept the cache.
+        assert_eq!(Arc::strong_count(&cache), 1);
+    }
+
+    #[test]
+    fn cells_on_timeout_watchdog_threads_still_share_inputs() {
+        let opts = RunOpts {
+            cell_timeout_ms: Some(600_000),
+            ..RunOpts::new(2, 7)
+        };
+        let cache = Arc::new(InputCache::new());
+        let (figs, report) = run_plans_with_inputs(vec![graph_plan(4, false)], &opts, Some(&cache));
+        assert_eq!(report.failures().count(), 0);
+        assert_eq!((cache.lookups(), cache.built()), (4, 1));
+        let edges = suite::kron_input(1, 2023).num_edges() as f64;
+        assert!(figs[0].rows.iter().all(|r| r.values == vec![edges]));
     }
 }

@@ -60,7 +60,7 @@ impl CsrLayout {
 /// Fig 6's oracle: the edge array split into fixed-size chunks, each freely
 /// mapped to a bank to minimize indirect traffic, with load capped at
 /// `1 + imbalance` times the mean.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkedCsr {
     chunk_edges: usize,
     chunk_banks: Vec<u32>,
@@ -74,6 +74,14 @@ impl ChunkedCsr {
     /// A `chunk_bytes` equal to the edge size gives the paper's `Ind-Ideal`
     /// (every edge exactly at its target, no load cap binding in practice).
     ///
+    /// Each chunk's cost to bank `b` is the total hop count from `b` to the
+    /// chunk's targets. Hop distance is separable into per-axis router-grid
+    /// distances ([`Topology::x_distance`] + [`Topology::y_distance`]), so
+    /// the oracle histograms each chunk's target columns and rows once and
+    /// prices every bank from those histograms: `O(E + chunks · banks)`
+    /// instead of [`Self::build_reference`]'s `O(E · banks)`, with the same
+    /// integer costs and therefore the same placement bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `chunk_bytes` is smaller than one edge entry.
@@ -84,42 +92,79 @@ impl ChunkedCsr {
         chunk_bytes: u64,
         imbalance: f64,
     ) -> Self {
-        let edge_bytes = if graph.is_weighted() { 8 } else { 4 };
-        assert!(chunk_bytes >= edge_bytes, "chunk smaller than one edge");
-        let chunk_edges = (chunk_bytes / edge_bytes) as usize;
-        let targets = graph.targets();
-        let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
-        let banks = topo.num_banks();
-
-        // Desired bank per chunk: argmin total hops to the pointed vertices;
-        // also record the saving vs. the mesh-average distance so the
-        // rebalancer evicts the least-profitable chunks first.
-        let mut desired: Vec<(usize, u32, f64)> = Vec::with_capacity(num_chunks);
-        for c in 0..num_chunks {
-            let lo = c * chunk_edges;
-            let hi = (lo + chunk_edges).min(targets.len());
-            let slice = &targets[lo..hi];
-            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
-            let mut avg_cost = 0.0;
-            for b in 0..banks {
-                let cost: u64 = slice
-                    .iter()
-                    .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
-                    .sum();
-                avg_cost += cost as f64;
-                if (cost as f64) < best_cost {
-                    best_cost = cost as f64;
-                    best_bank = b;
-                }
+        let chunk_edges = chunk_edges(graph, chunk_bytes);
+        let (gx, gy) = (topo.grid_x() as usize, topo.grid_y() as usize);
+        // Per-axis distance tables and each bank's router column/row.
+        let x_hops: Vec<u64> = (0..gx * gx)
+            .map(|i| u64::from(topo.x_distance((i / gx) as u32, (i % gx) as u32)))
+            .collect();
+        let y_hops: Vec<u64> = (0..gy * gy)
+            .map(|i| u64::from(topo.y_distance((i / gy) as u32, (i % gy) as u32)))
+            .collect();
+        let bank_xy: Vec<(usize, usize)> = (0..topo.num_banks())
+            .map(|b| {
+                let c = topo.router_coord(b);
+                (c.x as usize, c.y as usize)
+            })
+            .collect();
+        let mut cols = AxisHistogram::new(gx);
+        let mut rows = AxisHistogram::new(gy);
+        let desired = chunk_desires(graph, chunk_edges, topo.num_banks(), |slice, costs| {
+            for &t in slice {
+                let (x, y) = bank_xy[vertex_banks[t as usize] as usize];
+                cols.add(x);
+                rows.add(y);
             }
-            avg_cost /= f64::from(banks);
-            desired.push((c, best_bank, avg_cost - best_cost));
-        }
+            cols.price(&x_hops);
+            rows.price(&y_hops);
+            for (cost, &(x, y)) in costs.iter_mut().zip(&bank_xy) {
+                *cost = cols.cost[x] + rows.cost[y];
+            }
+            cols.clear();
+            rows.clear();
+        });
+        Self::place(chunk_edges, desired, topo.num_banks(), imbalance)
+    }
 
-        // Load cap per bank.
+    /// The `O(E · banks)` oracle [`Self::build`] replaced: one
+    /// [`Topology::manhattan`] per (edge, bank) pair. Kept as the
+    /// equivalence witness for tests and the `hotpath` benchmark; no figure
+    /// calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_bytes` is smaller than one edge entry.
+    pub fn build_reference(
+        topo: Topology,
+        graph: &Graph,
+        vertex_banks: &[u32],
+        chunk_bytes: u64,
+        imbalance: f64,
+    ) -> Self {
+        let chunk_edges = chunk_edges(graph, chunk_bytes);
+        let desired = chunk_desires(graph, chunk_edges, topo.num_banks(), |slice, costs| {
+            for (b, cost) in costs.iter_mut().enumerate() {
+                *cost = slice
+                    .iter()
+                    .map(|&t| u64::from(topo.manhattan(b as u32, vertex_banks[t as usize])))
+                    .sum();
+            }
+        });
+        Self::place(chunk_edges, desired, topo.num_banks(), imbalance)
+    }
+
+    /// Assign every chunk a bank under the load cap: chunks with the largest
+    /// saving claim their desired bank first; spilled chunks go to the
+    /// least-occupied bank (paper footnote 2).
+    fn place(
+        chunk_edges: usize,
+        mut desired: Vec<(usize, u32, f64)>,
+        banks: u32,
+        imbalance: f64,
+    ) -> Self {
+        let num_chunks = desired.len();
         let cap = ((num_chunks as f64 / f64::from(banks)) * (1.0 + imbalance)).ceil() as usize;
         let cap = cap.max(1);
-        // Chunks with the largest saving claim their bank first.
         desired.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite savings"));
         let mut load = vec![0usize; banks as usize];
         let mut chunk_banks = vec![0u32; num_chunks];
@@ -132,7 +177,6 @@ impl ChunkedCsr {
                 overflow.push(c);
             }
         }
-        // Spilled chunks go to the least-occupied bank (paper footnote 2).
         for c in overflow {
             let (b, _) = load
                 .iter()
@@ -176,6 +220,95 @@ impl ChunkedCsr {
         } else {
             max / mean
         }
+    }
+}
+
+/// Edges per oracle chunk.
+///
+/// # Panics
+///
+/// Panics if `chunk_bytes` is smaller than one edge entry.
+fn chunk_edges(graph: &Graph, chunk_bytes: u64) -> usize {
+    let edge_bytes = if graph.is_weighted() { 8 } else { 4 };
+    assert!(chunk_bytes >= edge_bytes, "chunk smaller than one edge");
+    (chunk_bytes / edge_bytes) as usize
+}
+
+/// `(chunk, desired bank, saving)` for every chunk of `graph`'s edge array.
+/// `price(slice, costs)` fills `costs[b]` with the chunk's total hops to
+/// bank `b`. The desired bank is the cheapest (lowest id on ties); the
+/// saving is its distance below the all-bank average, so the rebalancer
+/// evicts the least-profitable chunks first.
+fn chunk_desires(
+    graph: &Graph,
+    chunk_edges: usize,
+    banks: u32,
+    mut price: impl FnMut(&[u32], &mut [u64]),
+) -> Vec<(usize, u32, f64)> {
+    let targets = graph.targets();
+    let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
+    let mut costs = vec![0u64; banks as usize];
+    (0..num_chunks)
+        .map(|c| {
+            let lo = c * chunk_edges;
+            let hi = (lo + chunk_edges).min(targets.len());
+            price(&targets[lo..hi], &mut costs);
+            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
+            let mut avg_cost = 0.0;
+            for (b, &cost) in costs.iter().enumerate() {
+                avg_cost += cost as f64;
+                if (cost as f64) < best_cost {
+                    best_cost = cost as f64;
+                    best_bank = b as u32;
+                }
+            }
+            avg_cost /= f64::from(banks);
+            (c, best_bank, avg_cost - best_cost)
+        })
+        .collect()
+}
+
+/// Target counts per router-grid coordinate on one axis, with the touched
+/// coordinates listed so pricing and clearing cost `O(distinct)`, not
+/// `O(axis length)`, per chunk.
+struct AxisHistogram {
+    count: Vec<u64>,
+    touched: Vec<usize>,
+    /// `cost[p]`: total hops along this axis from coordinate `p` to every
+    /// counted target (filled by [`Self::price`]).
+    cost: Vec<u64>,
+}
+
+impl AxisHistogram {
+    fn new(len: usize) -> Self {
+        Self {
+            count: vec![0; len],
+            touched: Vec::new(),
+            cost: vec![0; len],
+        }
+    }
+
+    fn add(&mut self, p: usize) {
+        if self.count[p] == 0 {
+            self.touched.push(p);
+        }
+        self.count[p] += 1;
+    }
+
+    /// Fill `cost` from the counts and the axis's `len × len` hop table.
+    fn price(&mut self, hops: &[u64]) {
+        let len = self.count.len();
+        for (p, cost) in self.cost.iter_mut().enumerate() {
+            let row = &hops[p * len..(p + 1) * len];
+            *cost = self.touched.iter().map(|&q| self.count[q] * row[q]).sum();
+        }
+    }
+
+    fn clear(&mut self) {
+        for &p in &self.touched {
+            self.count[p] = 0;
+        }
+        self.touched.clear();
     }
 }
 
@@ -259,5 +392,124 @@ mod tests {
         let topo = Topology::new(2, 2);
         let g = ring(8);
         ChunkedCsr::build(topo, &g, &[0; 8], 2, 0.02);
+    }
+}
+
+#[cfg(test)]
+mod oracle_equivalence {
+    use super::*;
+    use aff_sim_core::config::{BankOrder, TopologyKind};
+    use aff_sim_core::rng::SimRng;
+    use proptest::prelude::*;
+
+    const KINDS: [TopologyKind; 3] = [TopologyKind::Mesh, TopologyKind::Torus, TopologyKind::CMesh];
+    /// Fig 6's chunk sizes; 0 stands for one edge (`Ind-Ideal`).
+    const CHUNKS: [u64; 5] = [0, 64, 256, 1024, 4096];
+
+    fn topo(kind: TopologyKind, w: u32, h: u32) -> Topology {
+        // A concentrated mesh tiles 2×2 blocks: round odd sides up.
+        let (w, h) = match kind {
+            TopologyKind::CMesh => (w + w % 2, h + h % 2),
+            _ => (w, h),
+        };
+        Topology::with_kind(w, h, BankOrder::RowMajor, kind)
+    }
+
+    /// A skewed random graph (half the edges hit a few hot vertices, so
+    /// chunks fight over banks and the load cap binds) plus a vertex→bank
+    /// map that clusters vertices on a subset of banks.
+    fn instance(seed: u64, n: u32, m: usize, weighted: bool, banks: u32) -> (Graph, Vec<u32>) {
+        let mut rng = SimRng::new(seed);
+        let hot = 1 + rng.below(4) as u32;
+        let edges: Vec<(u32, u32)> = (0..m)
+            .map(|_| {
+                let src = rng.below(u64::from(n)) as u32;
+                let dst = if rng.below(2) == 0 {
+                    rng.below(u64::from(hot)) as u32
+                } else {
+                    rng.below(u64::from(n)) as u32
+                };
+                (src, dst)
+            })
+            .collect();
+        let g = if weighted {
+            let w: Vec<u32> = (0..m).map(|_| 1 + rng.below(255) as u32).collect();
+            Graph::from_weighted_edges(n, &edges, &w)
+        } else {
+            Graph::from_edges(n, &edges)
+        };
+        let spread = 1 + rng.below(u64::from(banks));
+        let vb = (0..n).map(|_| rng.below(spread) as u32).collect();
+        (g, vb)
+    }
+
+    fn assert_equivalent(t: Topology, g: &Graph, vb: &[u32], chunk: u64, imbalance: f64) {
+        let bytes = if chunk == 0 {
+            if g.is_weighted() {
+                8
+            } else {
+                4
+            }
+        } else {
+            chunk
+        };
+        assert_eq!(
+            ChunkedCsr::build(t, g, vb, bytes, imbalance),
+            ChunkedCsr::build_reference(t, g, vb, bytes, imbalance),
+            "{t:?} chunk {bytes} B, imbalance {imbalance}, weighted {}",
+            g.is_weighted()
+        );
+    }
+
+    /// The full matrix on fixed inputs: every kind, square and non-square
+    /// grids up to 16×16, every Fig 6 chunk size, both edge widths, both
+    /// imbalance caps.
+    #[test]
+    fn linear_oracle_matches_reference_across_the_matrix() {
+        for kind in KINDS {
+            for (w, h) in [(8, 8), (16, 16), (16, 6), (3, 16), (1, 5)] {
+                let t = topo(kind, w, h);
+                for weighted in [false, true] {
+                    let seed = u64::from(w * 31 + h);
+                    let (g, vb) = instance(seed, 700, 1500, weighted, t.num_banks());
+                    for chunk in CHUNKS {
+                        for imbalance in [0.0, 0.02] {
+                            assert_equivalent(t, &g, &vb, chunk, imbalance);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Degenerate inputs: no edges at all (one empty chunk) and a single
+    /// bank.
+    #[test]
+    fn linear_oracle_matches_reference_on_degenerate_inputs() {
+        let empty = Graph::from_edges(4, &[]);
+        assert_equivalent(Topology::new(4, 4), &empty, &[0, 5, 9, 15], 64, 0.02);
+        let (g, vb) = instance(3, 64, 256, false, 1);
+        assert_equivalent(Topology::new(1, 1), &g, &vb, 0, 0.0);
+    }
+
+    proptest! {
+        /// Random geometry, graph, chunk size and cap: the linear oracle
+        /// places every chunk exactly where the `O(E·banks)` one does.
+        #[test]
+        fn linear_oracle_matches_reference(
+            kind in 0usize..3,
+            w in 1u32..17,
+            h in 1u32..17,
+            chunk in 0usize..5,
+            weighted in 0u8..2,
+            imbalance in 0usize..2,
+            seed in 0u64..u64::MAX,
+            n in 2u32..600,
+            m in 0usize..1200,
+        ) {
+            let t = topo(KINDS[kind], w, h);
+            let (g, vb) = instance(seed, n, m, weighted == 1, t.num_banks());
+            assert_equivalent(t, &g, &vb, CHUNKS[chunk], [0.0, 0.02][imbalance]);
+        }
     }
 }

@@ -223,12 +223,12 @@ impl Topology {
     }
 
     /// Router-grid width (`mesh_x` except under concentration).
-    fn grid_x(&self) -> u32 {
+    pub fn grid_x(&self) -> u32 {
         self.mesh_x / concentration(self.kind)
     }
 
     /// Router-grid height (`mesh_y` except under concentration).
-    fn grid_y(&self) -> u32 {
+    pub fn grid_y(&self) -> u32 {
         self.mesh_y / concentration(self.kind)
     }
 
@@ -374,15 +374,30 @@ impl Topology {
         }
     }
 
+    /// Router-grid position of the router serving bank `b`.
+    pub fn router_coord(&self, b: BankId) -> Coord {
+        self.node_coord(self.node_of_bank(b))
+    }
+
+    /// Hops between router-grid columns `a` and `b` (`0 .. grid_x()`).
+    pub fn x_distance(&self, a: u32, b: u32) -> u32 {
+        self.axis_distance(a, b, self.grid_x())
+    }
+
+    /// Hops between router-grid rows `a` and `b` (`0 .. grid_y()`).
+    pub fn y_distance(&self, a: u32, b: u32) -> u32 {
+        self.axis_distance(a, b, self.grid_y())
+    }
+
     /// Hop distance between the routers serving banks `a` and `b`. On the
     /// paper's mesh this is the Manhattan distance; on a torus each axis
     /// takes the shorter way around; under concentration it is the
-    /// router-grid distance (0 for same-router banks).
+    /// router-grid distance (0 for same-router banks). Every kind is
+    /// separable: the distance is [`Self::x_distance`] plus
+    /// [`Self::y_distance`] of the two [`Self::router_coord`]s.
     pub fn manhattan(&self, a: BankId, b: BankId) -> u32 {
-        let ca = self.node_coord(self.node_of_bank(a));
-        let cb = self.node_coord(self.node_of_bank(b));
-        self.axis_distance(ca.x, cb.x, self.grid_x())
-            + self.axis_distance(ca.y, cb.y, self.grid_y())
+        let (ca, cb) = (self.router_coord(a), self.router_coord(b));
+        self.x_distance(ca.x, cb.x) + self.y_distance(ca.y, cb.y)
     }
 
     /// The direction of the next dimension-ordered hop from router `here`
@@ -651,6 +666,27 @@ mod tests {
         assert_eq!(t.coord_of(63), Coord { x: 7, y: 7 });
         for b in 0..64 {
             assert_eq!(t.bank_of(t.coord_of(b)), b);
+        }
+    }
+
+    #[test]
+    fn manhattan_is_the_sum_of_per_axis_distances() {
+        for t in [
+            Topology::new(5, 3),
+            Topology::with_order(4, 6, BankOrder::Snake),
+            Topology::torus(7, 4),
+            Topology::cmesh(6, 4),
+        ] {
+            for a in 0..t.num_banks() {
+                for b in 0..t.num_banks() {
+                    let (ca, cb) = (t.router_coord(a), t.router_coord(b));
+                    assert!(ca.x < t.grid_x() && ca.y < t.grid_y());
+                    let split = t.x_distance(ca.x, cb.x) + t.y_distance(ca.y, cb.y);
+                    assert_eq!(t.manhattan(a, b), split);
+                    // Independent witness: the dimension-ordered route.
+                    assert_eq!(t.xy_route(a, b).len() as u32, split);
+                }
+            }
         }
     }
 

@@ -60,18 +60,17 @@ pub fn kronecker(scale: u32, edge_factor: u32, seed: u64) -> Graph {
 }
 
 /// Weighted Kronecker for sssp: weights uniform in `[1, 255]` (Table 3).
+/// The same graph as [`kronecker`] with [`kronecker_weights`] attached, so a
+/// caller already holding the unweighted graph can derive this one without
+/// regenerating it.
 pub fn kronecker_weighted(scale: u32, edge_factor: u32, seed: u64) -> Graph {
-    let g = kronecker(scale, edge_factor, seed);
-    let mut rng = SimRng::new(seed ^ 0x5550);
-    let mut edges = Vec::with_capacity(g.num_edges());
-    let mut weights = Vec::with_capacity(g.num_edges());
-    for v in 0..g.num_vertices() {
-        for &t in g.neighbors(v) {
-            edges.push((v, t));
-            weights.push(1 + rng.below(255) as u32);
-        }
-    }
-    Graph::from_weighted_edges(g.num_vertices(), &edges, &weights)
+    kronecker_weights(&kronecker(scale, edge_factor, seed), seed)
+}
+
+/// The weight pass of [`kronecker_weighted`]: attach sssp weights to the
+/// unweighted Kronecker graph `g` that `seed` generated.
+pub fn kronecker_weights(g: &Graph, seed: u64) -> Graph {
+    attach_uniform_weights(g, seed ^ 0x5550)
 }
 
 /// Power-law graph: `num_edges` total directed edges over `n` vertices with
@@ -145,7 +144,13 @@ pub fn real_world(profile: RealWorldProfile, scale_div: u32, seed: u64) -> Graph
 /// Attach uniform `[1, 255]` weights to every edge of `g` (for sssp on
 /// generated graphs that are not already weighted).
 pub fn with_uniform_weights(g: &Graph, seed: u64) -> Graph {
-    let mut rng = SimRng::new(seed ^ 0x77E1);
+    attach_uniform_weights(g, seed ^ 0x77E1)
+}
+
+/// `g` with a weight uniform in `[1, 255]` per edge, drawn in CSR order from
+/// a generator seeded with `rng_seed`.
+fn attach_uniform_weights(g: &Graph, rng_seed: u64) -> Graph {
+    let mut rng = SimRng::new(rng_seed);
     let mut edges = Vec::with_capacity(g.num_edges());
     let mut weights = Vec::with_capacity(g.num_edges());
     for v in 0..g.num_vertices() {
@@ -202,6 +207,37 @@ mod tests {
             for &w in g.weights_of(v).unwrap() {
                 assert!((1..=255).contains(&w));
             }
+        }
+    }
+
+    /// The weighted generator as it was before the weight pass was split
+    /// out: one inline pass over the freshly generated graph.
+    fn kronecker_weighted_inline(scale: u32, edge_factor: u32, seed: u64) -> Graph {
+        let g = kronecker(scale, edge_factor, seed);
+        let mut rng = SimRng::new(seed ^ 0x5550);
+        let mut edges = Vec::with_capacity(g.num_edges());
+        let mut weights = Vec::with_capacity(g.num_edges());
+        for v in 0..g.num_vertices() {
+            for &t in g.neighbors(v) {
+                edges.push((v, t));
+                weights.push(1 + rng.below(255) as u32);
+            }
+        }
+        Graph::from_weighted_edges(g.num_vertices(), &edges, &weights)
+    }
+
+    /// Deriving the weighted graph from an already generated unweighted one
+    /// is byte-equal to generating it inline, at every harness graph scale
+    /// (14 = scale 1 through 17 = `--full`). The two largest scales cost
+    /// tens of seconds unoptimized, so debug builds check 14 and 15 only.
+    #[test]
+    fn split_weight_pass_matches_inline_generation() {
+        let top = if cfg!(debug_assertions) { 15 } else { 17 };
+        for scale in 14..=top {
+            let seed = 2023 + u64::from(scale);
+            let split = kronecker_weights(&kronecker(scale, 16, seed), seed);
+            assert_eq!(split, kronecker_weighted_inline(scale, 16, seed), "scale {scale}");
+            assert_eq!(split, kronecker_weighted(scale, 16, seed), "scale {scale}");
         }
     }
 

@@ -16,11 +16,13 @@
 //! [`aff_nsc::Metrics`].
 //!
 //! [`suite`] ties it together: named workloads, Table 3 parameters, scaling.
+//! [`inputs`] shares generated graphs across the cells of one sweep.
 
 pub mod affine;
 pub mod config;
 pub mod gen;
 pub mod graphs;
+pub mod inputs;
 pub mod pointer;
 pub mod suite;
 

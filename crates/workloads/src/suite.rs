@@ -10,13 +10,14 @@
 
 use crate::affine::{run_stencil, Stencil};
 use crate::config::{RunConfig, SystemConfig};
-use crate::gen;
 use crate::graphs::{pick_source, DirectionPolicy, GraphInstance, GraphRun, IterStat};
+use crate::inputs::{self, KronKey};
 use crate::pointer::{
     run_bin_tree, run_hash_join, run_link_list, BinTreeParams, HashJoinParams, LinkListParams,
 };
 use aff_ds::graph::Graph;
 use aff_nsc::engine::Metrics;
+use std::sync::Arc;
 
 /// The ten workloads of Table 3 (plus explicit push/pull variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,12 +132,34 @@ pub const KRON_EDGE_FACTOR: u32 = 16;
 
 /// The Kronecker input for graph workloads at the given scale multiplier.
 pub fn kron_input(scale: u32, seed: u64) -> Graph {
-    gen::kronecker(BASE_KRON_SCALE + log2(scale), KRON_EDGE_FACTOR, seed)
+    kron_key(scale, seed, false).generate()
 }
 
 /// The weighted Kronecker input for sssp.
 pub fn kron_weighted_input(scale: u32, seed: u64) -> Graph {
-    gen::kronecker_weighted(BASE_KRON_SCALE + log2(scale), KRON_EDGE_FACTOR, seed)
+    kron_key(scale, seed, true).generate()
+}
+
+/// The graph [`kron_input`] (or, `weighted`, [`kron_weighted_input`])
+/// builds, shared through this thread's
+/// [`InputCache`](crate::inputs::InputCache) when one is installed and
+/// generated directly otherwise. Either way it is the same bytes.
+pub fn kron_shared(scale: u32, seed: u64, weighted: bool) -> Arc<Graph> {
+    let key = kron_key(scale, seed, weighted);
+    match inputs::thread_inputs() {
+        Some(cache) => cache.kron(key),
+        None => Arc::new(key.generate()),
+    }
+}
+
+/// The generator arguments behind the graph inputs at `scale`.
+fn kron_key(scale: u32, seed: u64, weighted: bool) -> KronKey {
+    KronKey {
+        scale: BASE_KRON_SCALE + log2(scale),
+        edge_factor: KRON_EDGE_FACTOR,
+        seed,
+        weighted,
+    }
 }
 
 fn log2(scale: u32) -> u32 {
@@ -175,37 +198,37 @@ pub fn run(name: WorkloadName, cfg: &RunConfig) -> SuiteRun {
             }
         }
         WorkloadName::PrPush => {
-            GraphInstance::new(kron_input(cfg.scale, cfg.seed), cfg)
+            GraphInstance::new(kron_shared(cfg.scale, cfg.seed, false), cfg)
                 .run_pr_push()
                 .into()
         }
         WorkloadName::PrPull => {
-            GraphInstance::new(kron_input(cfg.scale, cfg.seed), cfg)
+            GraphInstance::new(kron_shared(cfg.scale, cfg.seed, false), cfg)
                 .run_pr_pull()
                 .into()
         }
         WorkloadName::Bfs => {
             let policy = DirectionPolicy::default_for(cfg.system);
-            let g = kron_input(cfg.scale, cfg.seed);
+            let g = kron_shared(cfg.scale, cfg.seed, false);
             let src = pick_source(&g);
             GraphInstance::new(g, cfg).run_bfs(src, policy).into()
         }
         WorkloadName::BfsPush => {
-            let g = kron_input(cfg.scale, cfg.seed);
+            let g = kron_shared(cfg.scale, cfg.seed, false);
             let src = pick_source(&g);
             GraphInstance::new(g, cfg)
                 .run_bfs(src, DirectionPolicy::PushOnly)
                 .into()
         }
         WorkloadName::BfsPull => {
-            let g = kron_input(cfg.scale, cfg.seed);
+            let g = kron_shared(cfg.scale, cfg.seed, false);
             let src = pick_source(&g);
             GraphInstance::new(g, cfg)
                 .run_bfs(src, DirectionPolicy::PullOnly)
                 .into()
         }
         WorkloadName::Sssp => {
-            let g = kron_weighted_input(cfg.scale, cfg.seed);
+            let g = kron_shared(cfg.scale, cfg.seed, true);
             let src = pick_source(&g);
             GraphInstance::new(g, cfg).run_sssp(src).into()
         }
