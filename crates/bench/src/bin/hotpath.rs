@@ -1,14 +1,16 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — dense route table, heap translation, engine charge
-//! coalescing, the Eq-4 argmin lanes, the per-bank occupancy scans, and
+//! coalescing, the fused Eq-4 argmin, the per-bank occupancy scans, and
 //! Fig 6's chunk oracle — each against the scalar/hash-map/write-through/
 //! quadratic baseline it replaced, and writes `BENCH_hotpath.json` (schema
-//! `aff-bench/hotpath-v4`).
+//! `aff-bench/hotpath-v5`).
 //! The route layer runs at 8×8 *and* 16×16 (both dense CSR since the
 //! 256-bank threshold raise), a `route_memory` section records the
 //! resident route-store bytes at 1024 banks against the dense `n²`
-//! entry-array curve, and a `kron_gen` section records the Kronecker
-//! generator's throughput on the harness's scale-1 graph input.
+//! entry-array curve, a `kron_gen` section records the Kronecker
+//! generator's throughput on the harness's scale-1 graph input, and a
+//! `malloc_aff` section records ns per irregular allocation for three
+//! request shapes through the real allocator.
 //!
 //! ```text
 //! cargo run --release -p aff-bench --bin hotpath -- [--ops N] [--out PATH]
@@ -18,6 +20,7 @@
 //! identical run to run; only the wall-clock varies.
 
 use aff_ds::csr::ChunkedCsr;
+use aff_mem::addr::VAddr;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::Topology;
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
@@ -26,6 +29,7 @@ use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
 use aff_workloads::gen;
 use aff_workloads::suite::{BASE_KRON_SCALE, KRON_EDGE_FACTOR};
+use affinity_alloc::{AffineArrayReq, AffinityAllocator, BankSelectPolicy};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -214,36 +218,33 @@ fn bench_coalescing(ops: u64) -> Layer {
     }
 }
 
-/// Layer 4: the Eq-4 bank-select argmin — `score_lanes` +
-/// `argmin_score_lanes` over dense candidate slices (the `select_bank` hot
-/// path since the lane kernels landed) versus the old shape: an iterator
-/// `min_by` over lazily computed scalar scores with a `total_cmp`
-/// comparator closure.
-fn bench_argmin(ops: u64) -> Layer {
-    use affinity_alloc::lanes::{argmin_score_lanes, score_lanes};
-    use affinity_alloc::policy::{argmin_score, score};
+/// Layer 4: the Eq-4 bank-select argmin — `policy::argmin_eq4`, the fused
+/// one-pass scorer `select_bank` runs, versus the scalar shape it replaced:
+/// an iterator `min_by` over lazily computed `score`s with a `total_cmp`
+/// comparator closure. `candidates` healthy banks per call: 64 is the 8×8
+/// machine every sweep runs, 1024 the largest geometry.
+fn bench_argmin(ops: u64, name: &'static str, candidates: u32) -> Layer {
+    use affinity_alloc::policy::{argmin_eq4, argmin_score, score};
 
-    const CANDIDATES: usize = 1024; // healthy banks on the largest geometry
-    let calls = (ops as usize / CANDIDATES).max(1);
-    let ops = (calls * CANDIDATES) as u64;
+    const AFF_LEN: usize = 3;
+    let calls = (ops / u64::from(candidates)).max(1);
+    let ops = calls * u64::from(candidates);
     let mut rng = SimRng::new(0xE94);
-    let ids: Vec<u32> = (0..CANDIDATES as u32).collect();
-    let avg_hops: Vec<f64> = (0..CANDIDATES)
-        .map(|_| rng.below(32) as f64 + 0.5)
-        .collect();
-    let loads: Vec<u64> = (0..CANDIDATES).map(|_| rng.below(4096)).collect();
+    let ids: Vec<u32> = (0..candidates).collect();
+    let hop_sums: Vec<u32> = ids.iter().map(|_| rng.below(3 * 32) as u32).collect();
+    let loads: Vec<u64> = ids.iter().map(|_| rng.below(4096)).collect();
+    let slowdowns: Vec<u64> = ids.iter().map(|_| 1 + rng.below(4) / 3).collect();
     let avg_load = 17.25;
     let h = 5.0;
 
     let t0 = Instant::now();
-    let mut scores = vec![0.0f64; CANDIDATES];
     let mut fast_sum = 0u64;
     for call in 0..calls {
         // Perturb the average like successive allocations do, so the score
         // computation cannot be hoisted out of the loop.
         let avg = avg_load + (call % 7) as f64;
-        score_lanes(&avg_hops, &loads, avg, h, &mut scores);
-        fast_sum += u64::from(argmin_score_lanes(&ids, &scores).expect("non-empty"));
+        let best = argmin_eq4(&ids, &slowdowns, &hop_sums, &loads, AFF_LEN, avg, h);
+        fast_sum += u64::from(best.expect("non-empty"));
     }
     let fast = t0.elapsed().as_secs_f64();
 
@@ -251,17 +252,17 @@ fn bench_argmin(ops: u64) -> Layer {
     let mut base_sum = 0u64;
     for call in 0..calls {
         let avg = avg_load + (call % 7) as f64;
-        let best = argmin_score(
-            ids.iter()
-                .map(|&i| (i, score(avg_hops[i as usize], loads[i as usize], avg, h))),
-        );
+        let best = argmin_score(ids.iter().zip(&slowdowns).map(|(&b, &slow)| {
+            let avg_hops = f64::from(hop_sums[b as usize]) / AFF_LEN as f64;
+            (b, score(avg_hops, loads[b as usize] * slow, avg, h))
+        }));
         base_sum += u64::from(best.expect("non-empty"));
     }
     let base = t0.elapsed().as_secs_f64();
     assert_eq!(fast_sum, base_sum, "argmin layers must pick identical banks");
 
     Layer {
-        name: "argmin_simd",
+        name,
         ops,
         fast_mops: mops(ops, fast),
         base_mops: mops(ops, base),
@@ -359,6 +360,61 @@ fn bench_chunk_oracle(ops: u64) -> Layer {
     }
 }
 
+/// `AffinityAllocator::malloc_aff` end to end on the 8×8 machine, in ns per
+/// call, for the three request shapes the pointer and graph figures make.
+struct MallocAff {
+    calls: u64,
+    /// A list built node by node, each node's one affinity address its
+    /// predecessor: under Min-Hop every node lands on one bank.
+    chain_min_hop_ns: f64,
+    /// The same chain under Hybrid-5, which spills once the bank is hot.
+    chain_hybrid5_ns: f64,
+    /// A linked-CSR edge node whose 32 affinity addresses are vertices of
+    /// an interleaved property array.
+    csr_node32_hybrid5_ns: f64,
+}
+
+fn time_chain(policy: BankSelectPolicy, calls: u64) -> f64 {
+    let mut a = AffinityAllocator::new(MachineConfig::paper_default(), policy);
+    let mut prev = a.malloc_aff(64, &[]).expect("first node");
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        prev = a.malloc_aff(64, &[prev]).expect("chain node");
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / calls as f64
+}
+
+fn measure_malloc_aff(ops: u64) -> MallocAff {
+    let calls = (ops / 20).max(1_000);
+    let chain_min_hop_ns = time_chain(BankSelectPolicy::MinHop, calls);
+    let chain_hybrid5_ns = time_chain(BankSelectPolicy::paper_default(), calls);
+
+    let mut a = AffinityAllocator::new(
+        MachineConfig::paper_default(),
+        BankSelectPolicy::paper_default(),
+    );
+    const VERTICES: u64 = 1 << 16;
+    let props = a
+        .malloc_aff_affine(&AffineArrayReq::new(8, VERTICES))
+        .expect("property array");
+    let mut rng = SimRng::new(0xC5E);
+    let sets: Vec<Vec<VAddr>> = (0..1024)
+        .map(|_| (0..32).map(|_| props + 8 * rng.below(VERTICES)).collect())
+        .collect();
+    let t0 = Instant::now();
+    for i in 0..calls {
+        a.malloc_aff(64, &sets[i as usize % sets.len()])
+            .expect("edge node");
+    }
+    let csr_node32_hybrid5_ns = t0.elapsed().as_secs_f64() * 1e9 / calls as f64;
+    MallocAff {
+        calls,
+        chain_min_hop_ns,
+        chain_hybrid5_ns,
+        csr_node32_hybrid5_ns,
+    }
+}
+
 /// Kronecker generation throughput on the harness's scale-1 input: the full
 /// generator, and the sssp weight pass that derives the weighted input from
 /// an already generated graph.
@@ -386,8 +442,8 @@ fn measure_kron_gen() -> KronGen {
     }
 }
 
-fn render_json(layers: &[Layer], mem: &RouteMemory, kron: &KronGen) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v4\",\n  \"layers\": [\n");
+fn render_json(layers: &[Layer], mem: &RouteMemory, kron: &KronGen, alloc: &MallocAff) -> String {
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v5\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -412,8 +468,13 @@ fn render_json(layers: &[Layer], mem: &RouteMemory, kron: &KronGen) -> String {
     ));
     out.push_str(&format!(
         "  \"kron_gen\": {{\"scale\": {}, \"edges\": {}, \"edges_per_sec\": {:.0}, \
-         \"weight_pass_edges_per_sec\": {:.0}}}\n}}\n",
+         \"weight_pass_edges_per_sec\": {:.0}}},\n",
         kron.scale, kron.edges, kron.edges_per_sec, kron.weight_pass_edges_per_sec,
+    ));
+    out.push_str(&format!(
+        "  \"malloc_aff\": {{\"banks\": 64, \"calls\": {}, \"chain_min_hop_ns\": {:.1}, \
+         \"chain_hybrid5_ns\": {:.1}, \"csr_node32_hybrid5_ns\": {:.1}}}\n}}\n",
+        alloc.calls, alloc.chain_min_hop_ns, alloc.chain_hybrid5_ns, alloc.csr_node32_hybrid5_ns,
     ));
     out
 }
@@ -453,7 +514,8 @@ fn main() {
         bench_route_table(ops, "route_table_16x16", 16),
         bench_translation(ops),
         bench_coalescing(ops),
-        bench_argmin(ops),
+        bench_argmin(ops, "argmin_simd", 64),
+        bench_argmin(ops, "argmin_simd_1024", 1024),
         bench_occupancy_scan(ops),
         bench_chunk_oracle(ops),
     ];
@@ -482,7 +544,13 @@ fn main() {
         kron.edges_per_sec / 1e6,
         kron.weight_pass_edges_per_sec / 1e6
     );
-    let json = render_json(&layers, &mem, &kron);
+    let alloc = measure_malloc_aff(ops);
+    println!(
+        "malloc_aff @ 8x8, {} calls: chain Min-Hop {:.0} ns, chain Hybrid-5 {:.0} ns, \
+         32-address CSR node Hybrid-5 {:.0} ns",
+        alloc.calls, alloc.chain_min_hop_ns, alloc.chain_hybrid5_ns, alloc.csr_node32_hybrid5_ns
+    );
+    let json = render_json(&layers, &mem, &kron, &alloc);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(3);

@@ -1,25 +1,18 @@
 //! Branch-free chunked ("lane") kernels for the Eq-4 hot path.
 //!
 //! The bank-select argmin of [`runtime`](crate::runtime) evaluates Eq 4 over
-//! every healthy bank for every irregular allocation — up to 1024 candidates
-//! per call on the large geometries. The scalar formulation (an iterator
-//! `min_by` over lazily computed scores) defeats the autovectorizer twice:
-//! the comparator is an opaque closure, and the Manhattan distances are
-//! recomputed from router coordinates per candidate per affinity address.
-//!
-//! These kernels restate the same math as straight-line loops over dense
-//! slices in eight independent lanes, which LLVM lowers to SIMD
-//! compare/blend sequences on every target we build for — no nightly
-//! `std::simd`, no feature flag, and a scalar tail for lengths that are not
-//! a multiple of the lane width.
+//! every healthy bank for every irregular allocation. Its integer parts —
+//! the per-bank affinity hop sums (one dense `u16` distance column added per
+//! affinity address) and the total-load reduction — run here as
+//! straight-line loops over dense slices in eight independent lanes, which
+//! LLVM lowers to SIMD adds on every target we build for. The scoring and
+//! argmin itself is the one-pass [`argmin_eq4`](crate::policy::argmin_eq4),
+//! which compares scores through [`total_order_key`].
 //!
 //! **Determinism contract**: every kernel here is bit-identical to its
-//! scalar counterpart in `policy.rs` for *all* inputs, including NaN scores
-//! and tie cases — the lane order only reassociates exact integer sums and
-//! total-order comparisons, never floating-point additions. The proptests in
-//! `policy.rs` and `tests/properties.rs` pin this.
-
-use crate::policy::LOAD_SMOOTHING;
+//! scalar counterpart for *all* inputs — the lane order only reassociates
+//! exact integer sums, never floating-point additions. The proptests below
+//! and in `policy.rs` pin this.
 
 /// Lane width of the chunked kernels. Eight 64-bit lanes fill one AVX-512
 /// register or two NEON/AVX2 registers; the compiler picks the widest
@@ -38,76 +31,16 @@ pub fn total_order_key(s: f64) -> u64 {
     (k as u64) ^ (1 << 63)
 }
 
-/// Argmin over parallel `(id, score)` slices under [`f64::total_cmp`]
-/// ordering with ties broken toward the lowest id — the lane-parallel
-/// equivalent of [`argmin_score`](crate::policy::argmin_score).
-///
-/// Eight lanes each hold a running `(key, id)` minimum over the indices
-/// congruent to their lane; a horizontal reduce and a scalar tail finish the
-/// job. The per-lane update is a branch-free compare/select, so the chunk
-/// loop is a straight line.
-///
-/// Returns `None` only for empty input. Bit-identical to the scalar argmin
-/// for every input, including NaNs (a NaN score keys above all reals and
-/// loses) and exact ties (lowest id wins).
+/// Sum of a `u64` slice, eight partial accumulators wide — the per-call
+/// total-load reduction of `select_bank`. Integer addition is associative,
+/// so any lane order gives the scalar `iter().sum()` answer.
 ///
 /// `inline(never)`: each binary compiles this once as a standalone loop nest
 /// the vectorizer always fires on. Inlined into a large caller, thin-LTO's
-/// cost model has been observed to scalarize it in some binaries (the
-/// `figures` bin ran the Eq-4 sweep ~2.5× slower than a small test driver
-/// built from the same source) — pinning the outlined form makes the codegen
-/// identical everywhere.
-#[inline(never)]
-#[must_use]
-pub fn argmin_score_lanes(ids: &[u32], scores: &[f64]) -> Option<u32> {
-    // invariant: callers pass parallel slices; truncating to the shorter
-    // keeps the kernel total instead of panicking on a harness bug.
-    let n = ids.len().min(scores.len());
-    if n == 0 {
-        return None;
-    }
-    let mut best_key = [u64::MAX; LANES];
-    let mut best_id = [u32::MAX; LANES];
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            let key = total_order_key(scores[base + l]);
-            let id = ids[base + l];
-            let better = key < best_key[l] || (key == best_key[l] && id < best_id[l]);
-            best_key[l] = if better { key } else { best_key[l] };
-            best_id[l] = if better { id } else { best_id[l] };
-        }
-    }
-    let mut k = u64::MAX;
-    let mut i = u32::MAX;
-    for l in 0..LANES {
-        if best_key[l] < k || (best_key[l] == k && best_id[l] < i) {
-            k = best_key[l];
-            i = best_id[l];
-        }
-    }
-    for t in chunks * LANES..n {
-        let key = total_order_key(scores[t]);
-        if key < k || (key == k && ids[t] < i) {
-            k = key;
-            i = ids[t];
-        }
-    }
-    // The `(u64::MAX, u32::MAX)` sentinel can only survive a non-empty scan
-    // if the true minimum *is* that exact pair (a maximal-payload +NaN at id
-    // u32::MAX) — in which case `i` is the right answer anyway.
-    Some(i)
-}
-
-/// Accumulate a `u16` distance column into `u32` hop sums:
-/// `acc[i] += col[i]`. Exact integer adds, so lane order cannot change the
-/// result; the loop body is a widening add the autovectorizer unrolls.
-///
-/// Sum of a `u64` slice, eight partial accumulators wide — the per-call
-/// total-load reduction of `select_bank`. Integer addition is associative,
-/// so any lane order gives the scalar `iter().sum()` answer. `inline(never)`
-/// for the same per-binary codegen pinning as [`argmin_score_lanes`].
+/// cost model has been observed to scalarize such kernels in some binaries
+/// (the `figures` bin once ran the Eq-4 sweep ~2.5× slower than a small test
+/// binary built from the same source) — pinning the outlined form makes the
+/// codegen identical everywhere.
 #[inline(never)]
 #[must_use]
 pub fn sum_u64(xs: &[u64]) -> u64 {
@@ -126,9 +59,12 @@ pub fn sum_u64(xs: &[u64]) -> u64 {
     total
 }
 
+/// Accumulate a `u16` distance column into `u32` hop sums:
+/// `acc[i] += col[i]`. Exact integer adds, so lane order cannot change the
+/// result; the loop body is a widening add the autovectorizer unrolls.
+///
 /// Truncates to the shorter slice (callers pass equal lengths).
-/// `inline(never)` for the same per-binary codegen pinning as
-/// [`argmin_score_lanes`].
+/// `inline(never)` for the same per-binary codegen pinning as [`sum_u64`].
 #[inline(never)]
 pub fn add_u16_column(acc: &mut [u32], col: &[u16]) {
     let n = acc.len().min(col.len());
@@ -138,28 +74,9 @@ pub fn add_u16_column(acc: &mut [u32], col: &[u16]) {
     }
 }
 
-/// Eq-4 scores for a batch of candidates: `out[i] = score(hops[i], loads[i],
-/// avg_load, h)` with exactly the operations (and rounding) of the scalar
-/// [`score`](crate::policy::score) — the batch form just gives the compiler a dense loop to
-/// vectorize the divide/FMA sequence over.
-///
-/// Truncates to the shortest slice (callers pass equal lengths).
-/// `inline(never)` for the same per-binary codegen pinning as
-/// [`argmin_score_lanes`].
-#[inline(never)]
-pub fn score_lanes(avg_hops: &[f64], loads: &[u64], avg_load: f64, h: f64, out: &mut [f64]) {
-    let n = avg_hops.len().min(loads.len()).min(out.len());
-    let denom = avg_load + LOAD_SMOOTHING;
-    for i in 0..n {
-        let ratio = (loads[i] as f64 + LOAD_SMOOTHING) / denom;
-        out[i] = avg_hops[i] + h * (ratio - 1.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{argmin_score, score};
 
     #[test]
     fn total_order_key_matches_total_cmp() {
@@ -188,44 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_argmin_matches_scalar_on_ties_and_nans() {
-        let cases: Vec<Vec<(u32, f64)>> = vec![
-            vec![],
-            vec![(7, 1.0)],
-            vec![(3, 1.0), (1, 1.0), (2, 5.0)],
-            vec![(0, f64::NAN), (1, 2.0), (2, f64::NAN)],
-            vec![(5, f64::NAN), (9, f64::NAN)],
-            (0..37).map(|i| (i, f64::from(i % 5))).collect(),
-            (0..64).map(|i| (63 - i, 0.25)).collect(),
-            vec![(u32::MAX, f64::from_bits(0x7FFF_FFFF_FFFF_FFFF))],
-        ];
-        for case in cases {
-            let ids: Vec<u32> = case.iter().map(|&(i, _)| i).collect();
-            let scores: Vec<f64> = case.iter().map(|&(_, s)| s).collect();
-            assert_eq!(
-                argmin_score_lanes(&ids, &scores),
-                argmin_score(case.iter().copied()),
-                "diverged on {case:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn score_lanes_is_bitwise_scalar_score() {
-        let hops = [0.0, 1.5, 3.0, 7.25, 0.5, 62.0, 11.0, 2.0, 9.0];
-        let loads = [0u64, 1, 8, 30, 1000, 2, 5, 7, 123_456];
-        let mut out = [0.0; 9];
-        score_lanes(&hops, &loads, 3.7, 5.0, &mut out);
-        for i in 0..9 {
-            assert_eq!(
-                out[i].to_bits(),
-                score(hops[i], loads[i], 3.7, 5.0).to_bits(),
-                "lane {i} rounded differently"
-            );
-        }
-    }
-
-    #[test]
     fn column_adds_are_exact() {
         let mut acc = vec![1u32; 19];
         let col: Vec<u16> = (0..19).map(|i| i * 3).collect();
@@ -239,53 +118,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::policy::{argmin_score, score};
     use proptest::prelude::*;
 
     proptest! {
-        /// The full lane pipeline — `score_lanes` into a buffer then
-        /// `argmin_score_lanes` — picks the same bank as the scalar
-        /// `argmin_score` over lazily computed `score()`s (the pre-lanes
-        /// `select_bank` shape), for arbitrary candidate sets including
-        /// forced score ties.
-        #[test]
-        fn lane_pipeline_matches_scalar_select(
-            mut cands in proptest::collection::vec(
-                (0u32..4096, 0.0f64..64.0, 0u64..10_000), 0..300),
-            avg_load in 0.0f64..5000.0,
-            h in 0.0f64..16.0,
-            tie in 0usize..300,
-        ) {
-            // Force a tie: duplicate one candidate's (hops, load) under a
-            // different id so the lowest-id tie-break is exercised.
-            if !cands.is_empty() {
-                let (id, hops, load) = cands[tie % cands.len()];
-                cands.push((id ^ 1, hops, load));
-            }
-            let ids: Vec<u32> = cands.iter().map(|c| c.0).collect();
-            let hops: Vec<f64> = cands.iter().map(|c| c.1).collect();
-            let loads: Vec<u64> = cands.iter().map(|c| c.2).collect();
-
-            let mut buf = vec![0.0; cands.len()];
-            score_lanes(&hops, &loads, avg_load, h, &mut buf);
-            let lane_pick = argmin_score_lanes(&ids, &buf);
-
-            let scalar_pick = argmin_score(
-                ids.iter()
-                    .zip(&hops)
-                    .zip(&loads)
-                    .map(|((&i, &ah), &l)| (i, score(ah, l, avg_load, h))),
-            );
-            prop_assert_eq!(lane_pick, scalar_pick);
-            // And the buffer itself is bitwise the scalar scores.
-            for i in 0..cands.len() {
-                prop_assert_eq!(
-                    buf[i].to_bits(),
-                    score(hops[i], loads[i], avg_load, h).to_bits()
-                );
-            }
-        }
-
         /// `total_order_key` preserves `f64::total_cmp` order on arbitrary
         /// bit patterns (every NaN payload included).
         #[test]

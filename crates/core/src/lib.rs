@@ -31,6 +31,7 @@
 //! ```
 
 pub mod api;
+mod chunks;
 pub mod infer;
 pub mod lanes;
 pub mod policy;

@@ -7,18 +7,22 @@
 //!   required start bank, falling back to the baseline allocator when the
 //!   derived interleave is not realizable (exactly the paper's fallback);
 //! * scores banks by Eq 4 for irregular allocations and carves
-//!   interleave-granularity chunks from per-`(interleave, bank)` free lists;
+//!   interleave-granularity chunks from per-`(pool, bank)` free lists;
 //! * tracks per-bank load and residency so the simulator's capacity model
 //!   and the figure harness can read them back.
 //!
 //! Per the paper, irregular objects carry **no per-object metadata**: their
-//! interleave is implied by the owning pool and their bank by Eq 1. (The
-//! runtime keeps a debug-only liveness set to catch double frees in tests —
-//! bookkeeping the modeled hardware does not need.)
+//! interleave is implied by the owning pool and their bank by Eq 1. The
+//! runtime does keep one liveness bit per irregular chunk, in every build:
+//! it is what lets `free_aff` and `realloc_aff` return
+//! [`AllocError::UnknownAddress`] for double frees, interior pointers and
+//! addresses never handed out — bookkeeping the modeled hardware does not
+//! need.
 
 use crate::api::{AffineArrayReq, AffinityHint, AllocError, MAX_AFFINITY_ADDRS};
-use crate::lanes::{add_u16_column, argmin_score_lanes, score_lanes};
-use crate::policy::BankSelectPolicy;
+use crate::chunks::{ChunkStack, LiveChunks};
+use crate::lanes::add_u16_column;
+use crate::policy::{argmin_eq4, BankSelectPolicy};
 use aff_mem::addr::VAddr;
 use aff_mem::memory::SimMemory;
 use aff_mem::pool::PoolId;
@@ -28,7 +32,7 @@ use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
 use aff_sim_core::rng::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Metadata the runtime keeps per affine array (used for Eq 3 derivation of
 /// later arrays and for `free_aff`).
@@ -96,23 +100,30 @@ pub struct AffinityAllocator {
     rng: SimRng,
     rr_next: u32,
     affine_meta: HashMap<VAddr, AffineMeta>,
-    /// Free chunks per (interleave, bank), as pool chunk indices.
-    free_lists: HashMap<(u64, u32), Vec<u64>>,
-    /// Next unallocated chunk index per pool (the runtime owns pool space).
-    pool_cursor: HashMap<PoolId, u64>,
+    /// Free chunks per pool and bank (`free_lists[pool][bank]`), as pool
+    /// chunk indices. Pools and interleaves are 1:1. A pool's row is created
+    /// by the first chunk pushed to it, so an empty row means "never used"
+    /// (the fragmentation report lists exactly the interleaves with a row).
+    free_lists: Vec<Vec<ChunkStack>>,
+    /// Next unallocated chunk index per pool, indexed by [`PoolId::index`]
+    /// (the runtime owns pool space; missing entries are 0).
+    pool_cursor: Vec<u64>,
     /// Free affine blocks per (pool, start_bank): (chunk offset, chunks).
     affine_free: HashMap<(PoolId, u32), Vec<(u64, u64)>>,
     /// Irregular allocations per bank — the Eq 4 load.
     loads: Vec<u64>,
     /// Bytes resident per bank (capacity-model input).
     resident: Vec<u64>,
-    /// Debug-only liveness of irregular objects.
-    live_irregular: HashSet<VAddr>,
+    /// Liveness of irregular chunks (backs `UnknownAddress`).
+    live_irregular: LiveChunks,
     stats: AllocStats,
     /// Banks eligible for placement — all banks on a healthy machine, the
     /// non-failed ones under a fault plan, intersected with the tenant
     /// partition when [`restrict_banks`](Self::restrict_banks) is in force.
     healthy: Vec<u32>,
+    /// Eq-4 load multiplier of each `healthy` bank under `active_faults`
+    /// (parallel to `healthy`; 1 unless the bank is slowed).
+    healthy_slowdown: Vec<u64>,
     /// Tenant bank partition (sorted, deduped): placement never leaves this
     /// set, even under faults — isolation dominates availability. `None`
     /// (the default) places on the whole machine.
@@ -134,13 +145,6 @@ pub struct AffinityAllocator {
     dist_cols: Vec<u16>,
     /// Scratch (reused across calls): dense per-bank affinity hop sums.
     scratch_hops: Vec<u32>,
-    /// Scratch: resolved affinity banks of the current `malloc_aff` call.
-    scratch_aff: Vec<u32>,
-    /// Scratch: per-candidate mean hops / effective loads / Eq-4 scores,
-    /// parallel to `healthy`.
-    scratch_cand_hops: Vec<f64>,
-    scratch_cand_loads: Vec<u64>,
-    scratch_scores: Vec<f64>,
     /// Graceful-degradation counters (excluded banks, fallback chain use).
     report: DegradationReport,
     /// Seed for the deterministic affinity-address subsampling stream used
@@ -208,6 +212,10 @@ impl AffinityAllocator {
             ..DegradationReport::default()
         };
         let active_faults = config.faults.clone();
+        let healthy_slowdown = healthy
+            .iter()
+            .map(|&b| active_faults.bank_slowdown(b))
+            .collect();
         Self {
             space: AddressSpace::new(config),
             topo,
@@ -215,24 +223,21 @@ impl AffinityAllocator {
             rng: SimRng::new(seed),
             rr_next: 0,
             affine_meta: HashMap::new(),
-            free_lists: HashMap::new(),
-            pool_cursor: HashMap::new(),
+            free_lists: Vec::new(),
+            pool_cursor: Vec::new(),
             affine_free: HashMap::new(),
             loads: vec![0; n],
             resident: vec![0; n],
-            live_irregular: HashSet::new(),
+            live_irregular: LiveChunks::default(),
             stats: AllocStats::default(),
             healthy,
+            healthy_slowdown,
             allowed: None,
             coalesce: false,
             active_faults,
             report,
             dist_cols: Vec::new(),
             scratch_hops: Vec::new(),
-            scratch_aff: Vec::new(),
-            scratch_cand_hops: Vec::new(),
-            scratch_cand_loads: Vec::new(),
-            scratch_scores: Vec::new(),
             hint_seed: seed ^ HINT_SAMPLE_SALT,
             hint_draws: 0,
         }
@@ -274,6 +279,10 @@ impl AffinityAllocator {
             None => u64::from(banks),
         };
         self.report.excluded_banks = eligible - healthy.len() as u64;
+        self.healthy_slowdown = healthy
+            .iter()
+            .map(|&b| self.active_faults.bank_slowdown(b))
+            .collect();
         self.healthy = healthy;
     }
 
@@ -318,9 +327,8 @@ impl AffinityAllocator {
     pub fn set_coalescing(&mut self, on: bool) {
         self.coalesce = on;
         if on {
-            for list in self.free_lists.values_mut() {
-                // Descending, so `pop()` yields the lowest chunk index.
-                list.sort_unstable_by(|a, b| b.cmp(a));
+            for list in self.free_lists.iter_mut().flatten() {
+                list.sort_desc();
             }
         }
     }
@@ -714,23 +722,73 @@ impl AffinityAllocator {
                 return Ok(off);
             }
         }
+        self.carve_at_cursor(pool, intrlv, start_bank, chunks)
+    }
+
+    /// Take `chunks` chunks from `pool`'s cursor, starting at the first
+    /// chunk on `bank`. The chunks skipped to get there are donated to their
+    /// banks' irregular free lists (they are perfectly reusable there). The
+    /// pool grows first: when it cannot, the cursor and free lists are left
+    /// as they were, so no later call hands out unbacked chunks.
+    fn carve_at_cursor(
+        &mut self,
+        pool: PoolId,
+        intrlv: u64,
+        bank: u32,
+        chunks: u64,
+    ) -> Result<u64, AllocError> {
         let banks = u64::from(self.space.config().num_banks());
-        let cursor = self.pool_cursor.entry(pool).or_insert(0);
-        let mut c = *cursor;
-        // Skip chunks until the bank matches, donating them to the irregular
-        // free lists (they are perfectly reusable there).
-        let mut donated = Vec::new();
-        while c % banks != u64::from(start_bank) {
-            donated.push(c);
-            c += 1;
+        let cursor = self.cursor(pool);
+        let start = cursor + (u64::from(bank) + banks - cursor % banks) % banks;
+        self.space.pool_expand(pool, (start + chunks) * intrlv)?;
+        self.set_cursor(pool, start + chunks);
+        if start > cursor {
+            // At most one chunk per bank, so each list sees one push.
+            let coalesce = self.coalesce;
+            let row = self.free_row(pool);
+            let mut b = (cursor % banks) as usize;
+            for chunk in cursor..start {
+                push_chunk(&mut row[b], chunk, coalesce);
+                b += 1;
+                if b == row.len() {
+                    b = 0;
+                }
+            }
         }
-        *cursor = c + chunks;
-        for d in donated {
-            self.push_free_chunk(intrlv, (d % banks) as u32, d);
+        Ok(start)
+    }
+
+    fn cursor(&self, pool: PoolId) -> u64 {
+        self.pool_cursor.get(pool.index()).copied().unwrap_or(0)
+    }
+
+    fn set_cursor(&mut self, pool: PoolId, cursor: u64) {
+        let i = pool.index();
+        if i >= self.pool_cursor.len() {
+            self.pool_cursor.resize(i + 1, 0);
         }
-        let end = (c + chunks) * intrlv;
-        self.space.pool_expand(pool, end)?;
-        Ok(c)
+        self.pool_cursor[i] = cursor;
+    }
+
+    /// `pool`'s free lists, one per bank, creating the row on first use.
+    fn free_row(&mut self, pool: PoolId) -> &mut [ChunkStack] {
+        let i = pool.index();
+        if i >= self.free_lists.len() {
+            self.free_lists.resize_with(i + 1, Vec::new);
+        }
+        let row = &mut self.free_lists[i];
+        if row.is_empty() {
+            let banks = self.space.config().num_banks();
+            *row = vec![ChunkStack::new(u64::from(banks)); banks as usize];
+        }
+        row
+    }
+
+    /// `pool`'s free list for `bank`, if the pool has had any free chunks.
+    fn free_list_mut(&mut self, pool: PoolId, bank: u32) -> Option<&mut ChunkStack> {
+        self.free_lists
+            .get_mut(pool.index())?
+            .get_mut(bank as usize)
     }
 
     /// Interleave and start bank of an *exactly realized* affine array
@@ -777,7 +835,7 @@ impl AffinityAllocator {
         let va = self.space.pools().va_at(pool, chunk * intrlv);
         self.loads[bank as usize] += 1;
         self.resident[bank as usize] += intrlv;
-        self.live_irregular.insert(va);
+        self.live_irregular.insert(pool.index(), chunk);
         self.stats.irregular += 1;
         Ok(va)
     }
@@ -895,16 +953,6 @@ impl AffinityAllocator {
                     BankSelectPolicy::Hybrid { h } => h,
                     _ => 0.0,
                 };
-                // Lane-parallel Eq 4 (see `crate::lanes`): the same argmin
-                // the scalar iterator computed, restated as dense straight-
-                // line passes. Bit-identical by construction — hop sums are
-                // exact integer adds, each candidate's score is evaluated by
-                // the same `score` arithmetic, and the argmin uses the same
-                // total order and lowest-id tie-break.
-                self.scratch_aff.clear();
-                for &a in aff_addrs {
-                    self.scratch_aff.push(self.space.bank_of(a));
-                }
                 let total_load: u64 = crate::lanes::sum_u64(&self.loads);
                 let avg_load = total_load as f64 / f64::from(banks);
                 self.ensure_dist_cols();
@@ -913,100 +961,55 @@ impl AffinityAllocator {
                 // affinity address replaces per-candidate coordinate math.
                 self.scratch_hops.clear();
                 self.scratch_hops.resize(n, 0);
-                if self.dist_cols.is_empty() {
-                    // Geometry past the table cap: same exact integer sums,
-                    // recomputed per call.
-                    for &a in &self.scratch_aff {
+                for &va in aff_addrs {
+                    let a = self.space.bank_of(va);
+                    if self.dist_cols.is_empty() {
+                        // Geometry past the table cap: same exact integer
+                        // sums, recomputed per call.
                         for (b, acc) in self.scratch_hops.iter_mut().enumerate() {
                             *acc += self.topo.manhattan(b as u32, a);
                         }
-                    }
-                } else {
-                    for &a in &self.scratch_aff {
+                    } else {
                         add_u16_column(
                             &mut self.scratch_hops,
                             &self.dist_cols[a as usize * n..][..n],
                         );
                     }
                 }
-                // Gather the healthy candidates' inputs, then score + argmin
-                // over the packed slices.
-                let aff_len = self.scratch_aff.len();
-                self.scratch_cand_hops.clear();
-                self.scratch_cand_loads.clear();
-                for i in 0..self.healthy.len() {
-                    let b = self.healthy[i];
-                    let avg_hops = if aff_len == 0 {
-                        0.0
-                    } else {
-                        f64::from(self.scratch_hops[b as usize]) / aff_len as f64
-                    };
-                    self.scratch_cand_hops.push(avg_hops);
-                    self.scratch_cand_loads
-                        .push(self.loads[b as usize] * self.active_faults.bank_slowdown(b));
-                }
-                self.scratch_scores.clear();
-                self.scratch_scores.resize(self.healthy.len(), 0.0);
-                score_lanes(
-                    &self.scratch_cand_hops,
-                    &self.scratch_cand_loads,
+                argmin_eq4(
+                    &self.healthy,
+                    &self.healthy_slowdown,
+                    &self.scratch_hops,
+                    &self.loads,
+                    aff_addrs.len(),
                     avg_load,
                     h,
-                    &mut self.scratch_scores,
-                );
-                argmin_score_lanes(&self.healthy, &self.scratch_scores)
-                    .unwrap_or_else(|| self.healthy.first().copied().unwrap_or(0))
+                )
+                .unwrap_or_else(|| self.healthy.first().copied().unwrap_or(0))
             }
         }
     }
 
+    /// One chunk of `pool` on `bank`: from the bank's free list, else (with
+    /// coalescing) carved from a free affine block, else from the cursor.
     fn take_irregular_chunk(
         &mut self,
         pool: PoolId,
         intrlv: u64,
         bank: u32,
     ) -> Result<u64, AllocError> {
-        if let Some(list) = self.free_lists.get_mut(&(intrlv, bank)) {
-            // Legacy LIFO when coalescing is off; with coalescing the list
-            // is kept descending, so `pop` is lowest-address-first — high
-            // chunks stay free for tail reclaim.
-            if let Some(chunk) = list.pop() {
-                self.stats.freelist_hits += 1;
-                return Ok(chunk);
-            }
+        // Legacy LIFO when coalescing is off; with coalescing the list is
+        // kept descending, so `pop` is lowest-address-first — high chunks
+        // stay free for tail reclaim.
+        if let Some(chunk) = self.free_list_mut(pool, bank).and_then(ChunkStack::pop) {
+            self.stats.freelist_hits += 1;
+            return Ok(chunk);
         }
         if let Some(chunk) = self.demote_affine_chunk(pool, bank) {
             self.stats.freelist_hits += 1;
             return Ok(chunk);
         }
-        let banks = u64::from(self.space.config().num_banks());
-        let cursor = self.pool_cursor.entry(pool).or_insert(0);
-        let mut c = *cursor;
-        let mut donated = Vec::new();
-        while c % banks != u64::from(bank) {
-            donated.push(c);
-            c += 1;
-        }
-        *cursor = c + 1;
-        for d in donated {
-            self.push_free_chunk(intrlv, (d % banks) as u32, d);
-        }
-        let end = (c + 1) * intrlv;
-        self.space.pool_expand(pool, end)?;
-        Ok(c)
-    }
-
-    /// Add one chunk to its `(interleave, bank)` free list, preserving the
-    /// descending order coalescing relies on (plain push otherwise).
-    fn push_free_chunk(&mut self, intrlv: u64, bank: u32, chunk: u64) {
-        let coalesce = self.coalesce;
-        let list = self.free_lists.entry((intrlv, bank)).or_default();
-        if coalesce {
-            let pos = list.partition_point(|&c| c > chunk);
-            list.insert(pos, chunk);
-        } else {
-            list.push(chunk);
-        }
+        self.carve_at_cursor(pool, intrlv, bank, 1)
     }
 
     /// Insert a free affine block, merging it (when coalescing) with any
@@ -1063,24 +1066,21 @@ impl AffinityAllocator {
     /// Promote the bank-cycle containing `chunk` to an affine block if every
     /// chunk of the cycle is free — irregular frees coalescing up into
     /// affine-reusable (and tail-reclaimable) space. Coalescing-only.
-    fn try_promote_cycle(&mut self, pool: PoolId, intrlv: u64, chunk: u64) {
+    fn try_promote_cycle(&mut self, pool: PoolId, chunk: u64) {
         let banks = u64::from(self.space.config().num_banks());
         let base = (chunk / banks) * banks;
-        for b in 0..banks {
-            let free = self
-                .free_lists
-                .get(&(intrlv, b as u32))
-                .is_some_and(|l| l.binary_search_by(|c| (base + b).cmp(c)).is_ok());
-            if !free {
-                return;
+        let Some(row) = self.free_lists.get_mut(pool.index()) else {
+            return;
+        };
+        let mut positions = Vec::with_capacity(row.len());
+        for (list, c) in row.iter().zip(base..) {
+            match list.position(c) {
+                Some(pos) => positions.push(pos),
+                None => return,
             }
         }
-        for b in 0..banks {
-            if let Some(list) = self.free_lists.get_mut(&(intrlv, b as u32)) {
-                if let Ok(pos) = list.binary_search_by(|c| (base + b).cmp(c)) {
-                    list.remove(pos);
-                }
-            }
+        for (list, pos) in row.iter_mut().zip(positions) {
+            list.remove(pos);
         }
         self.insert_affine_block(pool, base, banks);
     }
@@ -1146,12 +1146,9 @@ impl AffinityAllocator {
                 got: aff_addrs.len(),
             });
         }
-        let Some(pool) = self.space.pools().pool_of(va) else {
+        let Some((pool, _)) = self.live_chunk_of(va) else {
             return Err(AllocError::UnknownAddress { addr: va });
         };
-        if !self.live_irregular.contains(&va) {
-            return Err(AllocError::UnknownAddress { addr: va });
-        }
         let intrlv = self.space.pools().interleave(pool);
         let old_bank = self.space.bank_of(va);
         let new_bank = self.select_bank(aff_addrs);
@@ -1166,10 +1163,23 @@ impl AffinityAllocator {
         self.space.memory_mut().write_bytes(new_va, &buf);
         self.loads[new_bank as usize] += 1;
         self.resident[new_bank as usize] += intrlv;
-        self.live_irregular.insert(new_va);
+        self.live_irregular.insert(pool.index(), chunk);
         self.stats.irregular += 1;
         self.free_aff(va)?;
         Ok(new_va)
+    }
+
+    /// The pool and chunk index of `va` when it is the start of a live
+    /// irregular object — `None` for interior pointers, freed chunks and
+    /// addresses outside every pool.
+    fn live_chunk_of(&self, va: VAddr) -> Option<(PoolId, u64)> {
+        let pools = self.space.pools();
+        let pool = pools.pool_of(va)?;
+        let intrlv = pools.interleave(pool);
+        let off = va.offset_from(pools.va_start(pool));
+        let chunk = off / intrlv;
+        (off.is_multiple_of(intrlv) && self.live_irregular.contains(pool.index(), chunk))
+            .then_some((pool, chunk))
     }
 
     // ---------- fragmentation (§8 "Fragmentation") ----------
@@ -1179,13 +1189,14 @@ impl AffinityAllocator {
     pub fn fragmentation(&self) -> FragmentationReport {
         let mut free_bytes_per_interleave: Vec<(u64, u64)> = Vec::new();
         let mut free_bytes = 0u64;
-        for (&(intrlv, _bank), list) in &self.free_lists {
-            let bytes = list.len() as u64 * intrlv;
-            free_bytes += bytes;
-            match free_bytes_per_interleave.iter_mut().find(|(i, _)| *i == intrlv) {
-                Some((_, b)) => *b += bytes,
-                None => free_bytes_per_interleave.push((intrlv, bytes)),
+        for (pool, row) in self.space.pools().ids().zip(&self.free_lists) {
+            if row.is_empty() {
+                continue;
             }
+            let intrlv = self.space.pools().interleave(pool);
+            let bytes = row.iter().map(ChunkStack::len).sum::<u64>() * intrlv;
+            free_bytes += bytes;
+            free_bytes_per_interleave.push((intrlv, bytes));
         }
         let mut affine_free_bytes = 0u64;
         for (&(pool, _), blocks) in &self.affine_free {
@@ -1208,17 +1219,20 @@ impl AffinityAllocator {
     pub fn reclaim_pool_tails(&mut self) -> u64 {
         let banks = u64::from(self.space.config().num_banks());
         let mut reclaimed = 0u64;
-        let mut pools: Vec<(PoolId, u64)> =
-            self.pool_cursor.iter().map(|(&p, &c)| (p, c)).collect();
-        pools.sort_unstable();
-        for (pool, mut cursor) in pools {
+        let pools: Vec<PoolId> = self.space.pools().ids().collect();
+        for pool in pools {
+            let mut cursor = self.cursor(pool);
+            if cursor == 0 {
+                continue;
+            }
             let intrlv = self.space.pools().interleave(pool);
+            let coalesce = self.coalesce;
             'trim: while cursor > 0 {
                 let tail_chunk = cursor - 1;
                 let bank = (tail_chunk % banks) as u32;
-                if let Some(list) = self.free_lists.get_mut(&(intrlv, bank)) {
-                    if let Some(pos) = list.iter().position(|&c| c == tail_chunk) {
-                        if self.coalesce {
+                if let Some(list) = self.free_list_mut(pool, bank) {
+                    if let Some(pos) = list.position(tail_chunk) {
+                        if coalesce {
                             // Order-preserving: the list stays descending.
                             list.remove(pos);
                         } else {
@@ -1255,7 +1269,7 @@ impl AffinityAllocator {
                 }
                 break;
             }
-            self.pool_cursor.insert(pool, cursor);
+            self.set_cursor(pool, cursor);
         }
         reclaimed
     }
@@ -1283,17 +1297,17 @@ impl AffinityAllocator {
             self.stats.freed += 1;
             return Ok(());
         }
-        if let Some(pool) = self.space.pools().pool_of(va) {
-            if !self.live_irregular.remove(&va) {
+        if self.space.pools().pool_of(va).is_some() {
+            let Some((pool, chunk)) = self.live_chunk_of(va) else {
                 return Err(AllocError::UnknownAddress { addr: va });
-            }
+            };
+            self.live_irregular.remove(pool.index(), chunk);
             let intrlv = self.space.pools().interleave(pool);
-            let off = va.offset_from(self.space.pools().va_start(pool));
-            let chunk = off / intrlv;
-            let bank = self.space.pools().bank_of_offset(pool, off);
-            self.push_free_chunk(intrlv, bank, chunk);
-            if self.coalesce {
-                self.try_promote_cycle(pool, intrlv, chunk);
+            let bank = self.space.pools().bank_of_offset(pool, chunk * intrlv);
+            let coalesce = self.coalesce;
+            push_chunk(&mut self.free_row(pool)[bank as usize], chunk, coalesce);
+            if coalesce {
+                self.try_promote_cycle(pool, chunk);
             }
             self.loads[bank as usize] = self.loads[bank as usize].saturating_sub(1);
             self.resident[bank as usize] = self.resident[bank as usize].saturating_sub(intrlv);
@@ -1306,6 +1320,16 @@ impl AffinityAllocator {
             return Ok(());
         }
         Err(AllocError::UnknownAddress { addr: va })
+    }
+}
+
+/// Add a freed or donated chunk to a free list: plain push (LIFO reuse)
+/// normally, the order-keeping descending insert under coalescing.
+fn push_chunk(list: &mut ChunkStack, chunk: u64, coalesce: bool) {
+    if coalesce {
+        list.insert_sorted_desc(chunk);
+    } else {
+        list.push(chunk);
     }
 }
 
@@ -1964,6 +1988,41 @@ mod tests {
     }
 
     const PAGE_CAP: u64 = 4096;
+
+    #[test]
+    fn failed_pool_growth_commits_nothing() {
+        // A 4 KiB reserve holds 64 chunks of 64 B, one per bank. Min-Hop
+        // sends every child of `first` back to bank 0, whose next chunk
+        // (64) lies past the cap, so each attempt must fail without moving
+        // the cursor or donating chunks 1..63 — otherwise the next
+        // allocation on another bank pops a chunk beyond the backed pool.
+        let plan = FaultPlan::none().cap_pool_reserve(PAGE_CAP);
+        let mut a = faulty(plan, BankSelectPolicy::MinHop);
+        let first = a.malloc_aff(64, &[]).unwrap();
+        let pool = a.space().pools().pool_of(first).unwrap();
+        let base = a.space().pools().va_start(pool);
+        assert_eq!(first, base);
+        for _ in 0..3 {
+            assert_eq!(
+                a.malloc_aff(64, &[first]),
+                Err(AllocError::Pool(aff_mem::pool::PoolError::OutOfReserve))
+            );
+        }
+        assert_eq!(a.fragmentation().free_bytes, 0, "no chunk donated");
+        assert_eq!(a.stats().irregular, 1);
+        // Bank 1's first chunk is chunk 1, inside the cap.
+        let next = a.malloc_aff(64, &[base + 65 * 64]).unwrap();
+        assert_eq!(next.offset_from(base), 64);
+        assert!(next.offset_from(base) + 64 <= PAGE_CAP);
+        // The affine path commits nothing on failure either: a 4160 B array
+        // starting at bank 0 fits no capped pool, walks the chain to the
+        // heap, and leaves the 64 B pool's cursor where it was.
+        let arr = a.malloc_aff_affine(&AffineArrayReq::new(64, 65)).unwrap();
+        assert!(a.space().pools().pool_of(arr).is_none(), "heap fallback");
+        assert_eq!(a.fragmentation().free_bytes, 0);
+        let again = a.malloc_aff(64, &[base + 2 * 64]).unwrap();
+        assert_eq!(again.offset_from(base), 2 * 64);
+    }
 
     #[test]
     fn healthy_machine_reports_zero_degradation() {

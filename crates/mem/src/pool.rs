@@ -32,6 +32,14 @@ pub const POOL_PA_BASE: u64 = 1 << 40;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PoolId(pub(crate) u32);
 
+impl PoolId {
+    /// Dense index of the pool: pools are numbered `0..` in creation order,
+    /// so per-pool tables can be plain vectors indexed by this.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Errors from pool management.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolError {
@@ -222,6 +230,11 @@ impl PoolManager {
         self.pools[id.0 as usize].va_start + offset
     }
 
+    /// Every pool created so far, in [`PoolId::index`] order.
+    pub fn ids(&self) -> impl Iterator<Item = PoolId> {
+        (0..self.pools.len() as u32).map(PoolId)
+    }
+
     /// The pool containing `va`, if any.
     pub fn pool_of(&self, va: VAddr) -> Option<PoolId> {
         if va.raw() < POOL_VA_BASE {
@@ -290,6 +303,16 @@ mod tests {
         assert_eq!(mgr.bank_of(p, base + 64), 1);
         assert_eq!(mgr.bank_of(p, base + 64 * 64), 0, "wraps at n_banks");
         assert_eq!(mgr.bank_of(p, base + 64 * 65), 1);
+    }
+
+    #[test]
+    fn ids_enumerate_pools_by_index() {
+        let mut mgr = PoolManager::new(64, 16);
+        let p = mgr.pool_for_interleave(8192).unwrap();
+        let ids: Vec<PoolId> = mgr.ids().collect();
+        assert_eq!(ids.len(), 8);
+        assert!(ids.iter().enumerate().all(|(i, id)| id.index() == i));
+        assert_eq!(ids.last(), Some(&p));
     }
 
     #[test]
