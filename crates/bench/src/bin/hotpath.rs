@@ -26,6 +26,7 @@ use aff_noc::topology::Topology;
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
+use aff_sim_core::json::Value;
 use aff_sim_core::rng::SimRng;
 use aff_workloads::gen;
 use aff_workloads::suite::{BASE_KRON_SCALE, KRON_EDGE_FACTOR};
@@ -443,40 +444,53 @@ fn measure_kron_gen() -> KronGen {
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory, kron: &KronGen, alloc: &MallocAff) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v5\",\n  \"layers\": [\n");
-    for (i, l) in layers.iter().enumerate() {
-        let speedup = l.fast_mops / l.base_mops.max(1e-12);
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ops\": {}, \"fast_mops_per_sec\": {:.3}, \
-             \"baseline_mops_per_sec\": {:.3}, \"speedup\": {:.3}, \"checksum\": {}}}{}\n",
-            l.name,
-            l.ops,
-            l.fast_mops,
-            l.base_mops,
-            speedup,
-            l.checksum,
-            if i + 1 < layers.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"route_memory\": {{\"banks\": {}, \"on_demand_bytes\": {}, \
-         \"dense_entry_bytes\": {}, \"dense_over_on_demand\": {:.2}}},\n",
-        mem.banks,
-        mem.on_demand_bytes,
-        mem.dense_entry_bytes,
-        mem.dense_entry_bytes as f64 / mem.on_demand_bytes.max(1) as f64,
-    ));
-    out.push_str(&format!(
-        "  \"kron_gen\": {{\"scale\": {}, \"edges\": {}, \"edges_per_sec\": {:.0}, \
-         \"weight_pass_edges_per_sec\": {:.0}}},\n",
-        kron.scale, kron.edges, kron.edges_per_sec, kron.weight_pass_edges_per_sec,
-    ));
-    out.push_str(&format!(
-        "  \"malloc_aff\": {{\"banks\": 64, \"calls\": {}, \"chain_min_hop_ns\": {:.1}, \
-         \"chain_hybrid5_ns\": {:.1}, \"csr_node32_hybrid5_ns\": {:.1}}}\n}}\n",
-        alloc.calls, alloc.chain_min_hop_ns, alloc.chain_hybrid5_ns, alloc.csr_node32_hybrid5_ns,
-    ));
-    out
+    let layers = layers.iter().map(|l| {
+        Value::object([
+            ("name", l.name.into()),
+            ("ops", l.ops.into()),
+            ("fast_mops_per_sec", l.fast_mops.into()),
+            ("baseline_mops_per_sec", l.base_mops.into()),
+            ("speedup", (l.fast_mops / l.base_mops.max(1e-12)).into()),
+            ("checksum", l.checksum.into()),
+        ])
+    });
+    let dense_over_on_demand = mem.dense_entry_bytes as f64 / mem.on_demand_bytes.max(1) as f64;
+    Value::object([
+        ("schema", "aff-bench/hotpath-v5".into()),
+        ("layers", layers.collect()),
+        (
+            "route_memory",
+            Value::object([
+                ("banks", mem.banks.into()),
+                ("on_demand_bytes", mem.on_demand_bytes.into()),
+                ("dense_entry_bytes", mem.dense_entry_bytes.into()),
+                ("dense_over_on_demand", dense_over_on_demand.into()),
+            ]),
+        ),
+        (
+            "kron_gen",
+            Value::object([
+                ("scale", kron.scale.into()),
+                ("edges", kron.edges.into()),
+                ("edges_per_sec", kron.edges_per_sec.into()),
+                (
+                    "weight_pass_edges_per_sec",
+                    kron.weight_pass_edges_per_sec.into(),
+                ),
+            ]),
+        ),
+        (
+            "malloc_aff",
+            Value::object([
+                ("banks", 64u64.into()),
+                ("calls", alloc.calls.into()),
+                ("chain_min_hop_ns", alloc.chain_min_hop_ns.into()),
+                ("chain_hybrid5_ns", alloc.chain_hybrid5_ns.into()),
+                ("csr_node32_hybrid5_ns", alloc.csr_node32_hybrid5_ns.into()),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 fn main() {
@@ -551,7 +565,7 @@ fn main() {
         alloc.calls, alloc.chain_min_hop_ns, alloc.chain_hybrid5_ns, alloc.csr_node32_hybrid5_ns
     );
     let json = render_json(&layers, &mem, &kron, &alloc);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, json + "\n") {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(3);
     }

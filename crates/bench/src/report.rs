@@ -1,44 +1,11 @@
 //! Figure reports: labeled rows of named numeric series, rendered as text
 //! tables (and serializable to JSON for downstream plotting).
 
-use serde::{Deserialize, Serialize};
-
-/// JSON string escape (shared by the hand-rolled serializers below).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number: non-finite serializes as `null`, matching serde_json.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn str_list(items: &[String]) -> String {
-    let parts: Vec<String> = items.iter().map(|s| esc(s)).collect();
-    format!("[{}]", parts.join(", "))
-}
+use aff_sim_core::json::{self, Value};
 
 /// One row of a figure: a label (workload, Δ value, policy…) plus one value
 /// per series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Row label.
     pub label: String,
@@ -57,7 +24,7 @@ impl Row {
 }
 
 /// A reproduced figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Identifier ("fig4", "fig12", …).
     pub id: String,
@@ -124,32 +91,23 @@ impl Figure {
         self.rows.iter().map(|r| r.values[i]).collect()
     }
 
-    /// Render as pretty-printed JSON for downstream plotting.
-    ///
-    /// Hand-rolled (the build environment has no crates.io access for a
-    /// real serializer); non-finite values serialize as `null`, matching
-    /// serde_json's behaviour.
+    /// Render as JSON for downstream plotting (non-finite values become
+    /// `null`).
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let vals: Vec<String> = r.values.iter().map(|&v| num(v)).collect();
-                format!(
-                    "    {{ \"label\": {}, \"values\": [{}] }}",
-                    esc(&r.label),
-                    vals.join(", ")
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"id\": {},\n  \"title\": {},\n  \"columns\": {},\n  \"rows\": [\n{}\n  ],\n  \"notes\": {}\n}}",
-            esc(&self.id),
-            esc(&self.title),
-            str_list(&self.columns),
-            rows.join(",\n"),
-            str_list(&self.notes)
-        )
+        let rows = self.rows.iter().map(|r| {
+            Value::object([
+                ("label", (&r.label).into()),
+                ("values", r.values.iter().copied().collect()),
+            ])
+        });
+        Value::object([
+            ("id", (&self.id).into()),
+            ("title", (&self.title).into()),
+            ("columns", self.columns.iter().collect()),
+            ("rows", rows.collect()),
+            ("notes", self.notes.iter().collect()),
+        ])
+        .render()
     }
 
     /// Render as an aligned text table.
@@ -204,7 +162,7 @@ impl Figure {
 /// `null`/zero on ordinary annotated runs, populated by the `inference`
 /// closed-loop family. Every earlier field is emitted unchanged, so v4+
 /// readers keep working.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
     /// Analytic cycle estimate.
     pub cycles: u64,
@@ -221,30 +179,23 @@ pub struct CellMetrics {
     /// Busiest-bank / mean-bank access ratio.
     pub bank_imbalance: f64,
     /// Fault epochs the run crossed (timeline events that fired).
-    #[serde(default)]
     pub fault_epochs: u64,
     /// Cache lines evacuated off dying banks at those epochs.
-    #[serde(default)]
     pub evacuated_lines: u64,
     /// The fired transition log, rendered (`"bank-fail(9)@100"`), in the
     /// order the events landed.
-    #[serde(default)]
     pub transitions: Vec<String>,
     /// Free-listed fraction of claimed pool space at cell end (0 when the
     /// cell does not churn an allocator).
-    #[serde(default)]
     pub fragmentation_ratio: f64,
     /// Per-tenant admission/quota/shed counters (empty on single-tenant
     /// cells).
-    #[serde(default)]
     pub tenants: Vec<aff_sim_core::tenant::TenantUsage>,
     /// Where the run's affinity hints came from (`"inferred"` / `"none"`);
     /// `None` on ordinary annotated runs, so every pre-inference cell is
     /// unchanged.
-    #[serde(default)]
     pub hint_source: Option<String>,
     /// Hints applied from a mined profile (0 outside inferred runs).
-    #[serde(default)]
     pub inferred_hints: u64,
 }
 
@@ -270,66 +221,46 @@ impl From<&aff_nsc::engine::Metrics> for CellMetrics {
 }
 
 impl CellMetrics {
-    /// JSON object for the sweep report (hand-rolled like the rest of the
-    /// file; non-finite floats serialize as `null`).
-    fn to_json(&self) -> String {
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{ \"tenant\": {}, \"name\": {}, \"admitted\": {}, \
-                     \"quota_rejects\": {}, \"shed\": {}, \"retries\": {}, \
-                     \"backoff_ticks\": {}, \"resident_bytes\": {}, \
-                     \"evacuated_lines\": {}, \"migrated_bytes\": {}, \
-                     \"se_ops\": {}, \"core_ops\": {}, \"traffic_msgs\": {}, \
-                     \"dram_lines\": {} }}",
-                    t.tenant,
-                    esc(&t.name),
-                    t.admitted,
-                    t.quota_rejects,
-                    t.shed,
-                    t.retries,
-                    t.backoff_ticks,
-                    t.resident_bytes,
-                    t.evacuated_lines,
-                    t.migrated_bytes,
-                    t.se_ops,
-                    t.core_ops,
-                    t.traffic_msgs,
-                    t.dram_lines,
-                )
-            })
-            .collect();
-        format!(
-            "{{ \"cycles\": {}, \"total_hop_flits\": {}, \"noc_utilization\": {}, \
-             \"l3_miss_rate\": {}, \"dram_accesses\": {}, \"energy_pj\": {}, \
-             \"bank_imbalance\": {}, \"fault_epochs\": {}, \"evacuated_lines\": {}, \
-             \"transitions\": {}, \"fragmentation_ratio\": {}, \"tenants\": [{}], \
-             \"hint_source\": {}, \"inferred_hints\": {} }}",
-            self.cycles,
-            self.total_hop_flits,
-            num(self.noc_utilization),
-            num(self.l3_miss_rate),
-            self.dram_accesses,
-            num(self.energy_pj),
-            num(self.bank_imbalance),
-            self.fault_epochs,
-            self.evacuated_lines,
-            str_list(&self.transitions),
-            num(self.fragmentation_ratio),
-            tenants.join(", "),
-            match &self.hint_source {
-                Some(s) => esc(s),
-                None => "null".into(),
-            },
-            self.inferred_hints,
-        )
+    fn to_value(&self) -> Value {
+        let tenants = self.tenants.iter().map(|t| {
+            Value::object([
+                ("tenant", t.tenant.into()),
+                ("name", (&t.name).into()),
+                ("admitted", t.admitted.into()),
+                ("quota_rejects", t.quota_rejects.into()),
+                ("shed", t.shed.into()),
+                ("retries", t.retries.into()),
+                ("backoff_ticks", t.backoff_ticks.into()),
+                ("resident_bytes", t.resident_bytes.into()),
+                ("evacuated_lines", t.evacuated_lines.into()),
+                ("migrated_bytes", t.migrated_bytes.into()),
+                ("se_ops", t.se_ops.into()),
+                ("core_ops", t.core_ops.into()),
+                ("traffic_msgs", t.traffic_msgs.into()),
+                ("dram_lines", t.dram_lines.into()),
+            ])
+        });
+        Value::object([
+            ("cycles", self.cycles.into()),
+            ("total_hop_flits", self.total_hop_flits.into()),
+            ("noc_utilization", self.noc_utilization.into()),
+            ("l3_miss_rate", self.l3_miss_rate.into()),
+            ("dram_accesses", self.dram_accesses.into()),
+            ("energy_pj", self.energy_pj.into()),
+            ("bank_imbalance", self.bank_imbalance.into()),
+            ("fault_epochs", self.fault_epochs.into()),
+            ("evacuated_lines", self.evacuated_lines.into()),
+            ("transitions", self.transitions.iter().collect()),
+            ("fragmentation_ratio", self.fragmentation_ratio.into()),
+            ("tenants", tenants.collect()),
+            ("hint_source", self.hint_source.as_ref().into()),
+            ("inferred_hints", self.inferred_hints.into()),
+        ])
     }
 }
 
 /// Wall-time and throughput accounting for one executed sweep cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellStat {
     /// Figure the cell belongs to.
     pub figure: String,
@@ -344,16 +275,13 @@ pub struct CellStat {
     /// Simulated cycles the cell covered (0 for table-style cells).
     pub sim_cycles: u64,
     /// Execution attempts the outcome took (1 = first try; retries add up).
-    #[serde(default)]
     pub attempts: u32,
     /// Whether the outcome was replayed from a resume journal instead of
     /// executed this run.
-    #[serde(default)]
     pub cached: bool,
     /// Simulation metrics sidecar, populated when the sweep ran with metrics
     /// collection enabled and the cell produced engine metrics (`None` for
     /// table-style cells, failed cells, and metrics-off runs).
-    #[serde(default)]
     pub metrics: Option<CellMetrics>,
 }
 
@@ -383,7 +311,7 @@ impl CellStat {
 /// row of the report's `aggregates` array; `figures --aggregate-from PATH`
 /// merges the rows of a prior report so one `BENCH_sweep.json` can record
 /// e.g. both the `--jobs 1` and `--jobs 4` baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateRow {
     /// Worker count of the run this row measures.
     pub jobs: usize,
@@ -395,63 +323,37 @@ pub struct AggregateRow {
     pub mcycles_per_sec: f64,
 }
 
-/// Extract a JSON number following `"key": ` (first occurrence); `null` and
-/// missing keys read as `None`.
-fn json_num(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 impl AggregateRow {
-    /// JSON object (one line, matching the report's hand-rolled style).
-    fn to_json(&self) -> String {
-        format!(
-            "    {{ \"jobs\": {}, \"wall_ms\": {}, \"total_sim_cycles\": {}, \
-             \"mcycles_per_sec\": {} }}",
-            self.jobs,
-            num(self.wall_ms),
-            self.total_sim_cycles,
-            num(self.mcycles_per_sec),
-        )
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("jobs", self.jobs.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("total_sim_cycles", self.total_sim_cycles.into()),
+            ("mcycles_per_sec", self.mcycles_per_sec.into()),
+        ])
     }
 
-    /// Parse the aggregate rows out of a rendered sweep report (the format
-    /// this crate emits — not a general JSON parser). A v6+ report yields
+    /// The aggregate rows of a rendered sweep report. A v6+ report yields
     /// its `aggregates` array; an older report (no array) degrades to one
-    /// row built from its top-level totals. Anything unparsable yields `[]`.
+    /// row built from its top-level totals. Rows missing a field are
+    /// skipped, and anything that is not JSON yields `[]`.
     pub fn parse_report(text: &str) -> Vec<AggregateRow> {
-        let mut out = Vec::new();
-        if let Some(i) = text.find("\"aggregates\": [") {
-            let body = &text[i..];
-            let body = &body[..body.find(']').unwrap_or(body.len())];
-            for line in body.lines() {
-                if let Some(row) = Self::parse_obj(line) {
-                    out.push(row);
-                }
-            }
-        } else {
+        let Ok(doc) = json::parse(text) else {
+            return Vec::new();
+        };
+        match doc.get("aggregates").and_then(Value::as_array) {
+            Some(rows) => rows.iter().filter_map(Self::from_value).collect(),
             // Pre-v6 report: its run-level header fields are the one row.
-            let head = &text[..text.find("\"cells\"").unwrap_or(text.len())];
-            if let Some(row) = Self::parse_obj(head) {
-                out.push(row);
-            }
+            None => Self::from_value(&doc).into_iter().collect(),
         }
-        out
     }
 
-    fn parse_obj(text: &str) -> Option<AggregateRow> {
+    fn from_value(v: &Value) -> Option<AggregateRow> {
         Some(AggregateRow {
-            jobs: json_num(text, "jobs")? as usize,
-            wall_ms: json_num(text, "wall_ms")?,
-            total_sim_cycles: json_num(text, "total_sim_cycles")? as u64,
-            mcycles_per_sec: json_num(text, "mcycles_per_sec")?,
+            jobs: usize::try_from(v.get("jobs")?.as_u64()?).ok()?,
+            wall_ms: v.get("wall_ms")?.as_f64()?,
+            total_sim_cycles: v.get("total_sim_cycles")?.as_u64()?,
+            mcycles_per_sec: v.get("mcycles_per_sec")?.as_f64()?,
         })
     }
 }
@@ -460,7 +362,7 @@ impl AggregateRow {
 /// wall time and simulated-cycle throughput, plus run-level totals. Unlike
 /// [`Figure`] output — which is byte-identical across `--jobs` settings —
 /// this report holds *measurements* and differs run to run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Worker count the sweep ran with.
     pub jobs: usize,
@@ -471,19 +373,15 @@ pub struct SweepReport {
     /// Per-cell stats, in declaration order.
     pub cells: Vec<CellStat>,
     /// Cells replayed from the resume journal instead of executed.
-    #[serde(default)]
     pub resumed_cells: usize,
     /// Cells replayed from the cross-run memo store instead of executed.
-    #[serde(default)]
     pub memo_hits: usize,
     /// First error that disabled checkpoint journaling, if any (the sweep
     /// itself still completes; only durability is lost).
-    #[serde(default)]
     pub journal_error: Option<String>,
     /// Aggregate rows carried over from a prior report
     /// (`--aggregate-from`); the current run's own row is always emitted
     /// first and is not stored here.
-    #[serde(default)]
     pub extra_aggregates: Vec<AggregateRow>,
 }
 
@@ -518,6 +416,14 @@ impl SweepReport {
         (self.total_sim_cycles() as f64 / 1e6) / (self.wall_ns as f64 / 1e9)
     }
 
+    /// Summed cell wall time over sweep wall time: the achieved parallelism.
+    pub fn parallelism(&self) -> f64 {
+        if self.wall_ns == 0 {
+            return 0.0;
+        }
+        self.total_cell_wall_ns() as f64 / self.wall_ns as f64
+    }
+
     /// This run's own aggregate row (the first entry of `aggregates`).
     pub fn aggregate(&self) -> AggregateRow {
         AggregateRow {
@@ -541,66 +447,49 @@ impl SweepReport {
     /// (`hint_source`, `inferred_hints`) stamped by the `inference` family;
     /// `null`/0 everywhere else.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let err = match &c.error {
-                    Some(e) => esc(e),
-                    None => "null".into(),
-                };
-                let metrics = match &c.metrics {
-                    Some(m) => m.to_json(),
-                    None => "null".into(),
-                };
-                format!(
-                    "    {{ \"figure\": {}, \"label\": {}, \"ok\": {}, \"error\": {}, \
-                     \"wall_ms\": {}, \"sim_cycles\": {}, \"mcycles_per_sec\": {}, \
-                     \"attempts\": {}, \"cached\": {}, \"metrics\": {} }}",
-                    esc(&c.figure),
-                    esc(&c.label),
-                    c.ok,
-                    err,
-                    num(c.wall_ns as f64 / 1e6),
-                    c.sim_cycles,
-                    num(c.mcycles_per_sec()),
-                    c.attempts,
-                    c.cached,
-                    metrics,
-                )
-            })
-            .collect();
-        let mut aggregates: Vec<String> = vec![self.aggregate().to_json()];
-        aggregates.extend(self.extra_aggregates.iter().map(AggregateRow::to_json));
-        format!(
-            "{{\n  \"schema\": \"aff-bench/sweep-v7\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
-             \"wall_ms\": {},\n  \"total_sim_cycles\": {},\n  \"total_cell_wall_ms\": {},\n  \
-             \"mcycles_per_sec\": {},\n  \"parallelism\": {},\n  \"failed_cells\": {},\n  \
-             \"budget_failed_cells\": {},\n  \"resumed_cells\": {},\n  \"memo_hits\": {},\n  \
-             \"journal_error\": {},\n  \"aggregates\": [\n{}\n  ],\n  \
-             \"cells\": [\n{}\n  ]\n}}",
-            self.jobs,
-            self.seed,
-            num(self.wall_ns as f64 / 1e6),
-            self.total_sim_cycles(),
-            num(self.total_cell_wall_ns() as f64 / 1e6),
-            num(self.mcycles_per_sec()),
-            num(if self.wall_ns == 0 {
-                0.0
-            } else {
-                self.total_cell_wall_ns() as f64 / self.wall_ns as f64
-            }),
-            self.failures().count(),
-            self.budget_failures().count(),
-            self.resumed_cells,
-            self.memo_hits,
-            match &self.journal_error {
-                Some(e) => esc(e),
-                None => "null".into(),
-            },
-            aggregates.join(",\n"),
-            cells.join(",\n")
-        )
+        let cells = self.cells.iter().map(|c| {
+            Value::object([
+                ("figure", (&c.figure).into()),
+                ("label", (&c.label).into()),
+                ("ok", c.ok.into()),
+                ("error", c.error.as_ref().into()),
+                ("wall_ms", (c.wall_ns as f64 / 1e6).into()),
+                ("sim_cycles", c.sim_cycles.into()),
+                ("mcycles_per_sec", c.mcycles_per_sec().into()),
+                ("attempts", c.attempts.into()),
+                ("cached", c.cached.into()),
+                (
+                    "metrics",
+                    c.metrics
+                        .as_ref()
+                        .map_or(Value::Null, CellMetrics::to_value),
+                ),
+            ])
+        });
+        let aggregates = std::iter::once(self.aggregate())
+            .chain(self.extra_aggregates.iter().cloned())
+            .map(|a| a.to_value());
+        Value::object([
+            ("schema", "aff-bench/sweep-v7".into()),
+            ("jobs", self.jobs.into()),
+            ("seed", self.seed.into()),
+            ("wall_ms", (self.wall_ns as f64 / 1e6).into()),
+            ("total_sim_cycles", self.total_sim_cycles().into()),
+            (
+                "total_cell_wall_ms",
+                (self.total_cell_wall_ns() as f64 / 1e6).into(),
+            ),
+            ("mcycles_per_sec", self.mcycles_per_sec().into()),
+            ("parallelism", self.parallelism().into()),
+            ("failed_cells", self.failures().count().into()),
+            ("budget_failed_cells", self.budget_failures().count().into()),
+            ("resumed_cells", self.resumed_cells.into()),
+            ("memo_hits", self.memo_hits.into()),
+            ("journal_error", self.journal_error.as_ref().into()),
+            ("aggregates", aggregates.collect()),
+            ("cells", cells.collect()),
+        ])
+        .render()
     }
 
     /// One-paragraph human summary (stderr material: never part of the
@@ -613,11 +502,7 @@ impl SweepReport {
             self.jobs,
             self.wall_ns as f64 / 1e6,
             self.mcycles_per_sec(),
-            if self.wall_ns == 0 {
-                0.0
-            } else {
-                self.total_cell_wall_ns() as f64 / self.wall_ns as f64
-            },
+            self.parallelism(),
             if failed == 0 {
                 String::new()
             } else {
@@ -757,48 +642,43 @@ mod tests {
         assert!((r.cells[0].mcycles_per_sec() - 5000.0).abs() < 1e-9);
     }
 
+    /// `SweepReport::to_json` bytes for `sample_sweep()`, recorded before
+    /// the report moved onto the shared JSON writer.
+    const SAMPLE_SWEEP_JSON: &str = r#"{
+  "schema": "aff-bench/sweep-v7",
+  "jobs": 4,
+  "seed": 2023,
+  "wall_ms": 2,
+  "total_sim_cycles": 5000000,
+  "total_cell_wall_ms": 4,
+  "mcycles_per_sec": 2500,
+  "parallelism": 2,
+  "failed_cells": 1,
+  "budget_failed_cells": 0,
+  "resumed_cells": 1,
+  "memo_hits": 1,
+  "journal_error": null,
+  "aggregates": [
+    { "jobs": 4, "wall_ms": 2, "total_sim_cycles": 5000000, "mcycles_per_sec": 2500 },
+    { "jobs": 1, "wall_ms": 8.5, "total_sim_cycles": 5000000, "mcycles_per_sec": 588.2 }
+  ],
+  "cells": [
+    { "figure": "fig4", "label": "In-Core", "ok": true, "error": null, "wall_ms": 1, "sim_cycles": 5000000, "mcycles_per_sec": 5000, "attempts": 1, "cached": true, "metrics": { "cycles": 5000000, "total_hop_flits": 1234, "noc_utilization": 0.25, "l3_miss_rate": 0.01, "dram_accesses": 77, "energy_pj": 1500000, "bank_imbalance": null, "fault_epochs": 2, "evacuated_lines": 4096, "transitions": ["bank-fail(9)@100", "bank-repair(9)@2000"], "fragmentation_ratio": 0.125, "tenants": [{ "tenant": 0, "name": "alice", "admitted": 42, "quota_rejects": 0, "shed": 3, "retries": 0, "backoff_ticks": 0, "resident_bytes": 4096, "evacuated_lines": 0, "migrated_bytes": 0, "se_ops": 0, "core_ops": 0, "traffic_msgs": 0, "dram_lines": 0 }], "hint_source": "inferred", "inferred_hints": 12 } },
+    { "figure": "fig4", "label": "Δ Bank 4", "ok": false, "error": "boom \"quoted\"", "wall_ms": 3, "sim_cycles": 0, "mcycles_per_sec": 0, "attempts": 2, "cached": false, "metrics": null }
+  ]
+}"#;
+
     #[test]
-    fn sweep_report_json_is_well_formed() {
+    fn sweep_report_json_is_byte_pinned() {
         let j = sample_sweep().to_json();
-        assert!(j.contains("\"schema\": \"aff-bench/sweep-v7\""));
-        assert!(j.contains("\"jobs\": 4"));
-        assert!(j.contains("\"failed_cells\": 1"));
-        assert!(j.contains("\"budget_failed_cells\": 0"));
-        assert!(j.contains("\"resumed_cells\": 1"));
-        assert!(j.contains("\"memo_hits\": 1"));
-        assert!(j.contains("\"journal_error\": null"));
-        // v6 aggregates: the run's own row first, then the merged prior row.
-        assert!(j.contains("\"aggregates\": [\n"));
-        assert!(j.contains("{ \"jobs\": 4, \"wall_ms\": 2, \"total_sim_cycles\": 5000000"));
-        assert!(j.contains("{ \"jobs\": 1, \"wall_ms\": 8.5, \"total_sim_cycles\": 5000000, \
-                            \"mcycles_per_sec\": 588.2 }"));
-        assert!(j.contains("\"attempts\": 2"));
-        assert!(j.contains("\"cached\": true"));
-        assert!(j.contains("boom \\\"quoted\\\""));
-        // Metrics sidecar: present on the first cell, null on the second,
-        // with NaN serialized as null (matching serde_json).
-        assert!(j.contains("\"metrics\": {"));
-        assert!(j.contains("\"metrics\": null"));
-        assert!(j.contains("\"total_hop_flits\": 1234"));
-        assert!(j.contains("\"dram_accesses\": 77"));
-        assert!(j.contains("\"bank_imbalance\": null"));
-        // v7 hint provenance: stamped on the inferred cell …
-        assert!(j.contains("\"hint_source\": \"inferred\""));
-        assert!(j.contains("\"inferred_hints\": 12"));
-        // v4 fault-recovery triple.
-        assert!(j.contains("\"fault_epochs\": 2"));
-        assert!(j.contains("\"evacuated_lines\": 4096"));
-        assert!(j.contains("\"transitions\": [\"bank-fail(9)@100\", \"bank-repair(9)@2000\"]"));
-        // v5 multi-tenant pair.
-        assert!(j.contains("\"fragmentation_ratio\": 0.125"));
-        assert!(j.contains("\"tenants\": [{ \"tenant\": 0, \"name\": \"alice\""));
-        assert!(j.contains("\"admitted\": 42"));
-        assert!(j.contains("\"shed\": 3"));
-        assert_eq!(j.matches("\"figure\"").count(), 2);
-        // Balanced braces/brackets (cheap well-formedness check without a
-        // JSON parser in the dep tree).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(j, SAMPLE_SWEEP_JSON);
+        let doc = json::parse(&j).expect("the report is valid JSON");
+        assert_eq!(
+            doc.get("cells")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(2)
+        );
     }
 
     #[test]
@@ -825,6 +705,57 @@ mod tests {
         );
         // Garbage parses to nothing, not a panic.
         assert!(AggregateRow::parse_report("not json at all").is_empty());
+    }
+
+    #[test]
+    fn aggregate_rows_survive_compaction_and_keep_u64_precision() {
+        // `jq -c` output: no whitespace anywhere.
+        let compact = "{\"schema\":\"aff-bench/sweep-v7\",\"jobs\":4,\"aggregates\":[\
+                       {\"jobs\":4,\"wall_ms\":2,\"total_sim_cycles\":5000000,\"mcycles_per_sec\":2500},\
+                       {\"jobs\":1,\"wall_ms\":8.5,\"total_sim_cycles\":5000000,\"mcycles_per_sec\":588.2}],\
+                       \"cells\":[]}";
+        assert_eq!(
+            AggregateRow::parse_report(compact),
+            AggregateRow::parse_report(SAMPLE_SWEEP_JSON)
+        );
+        // Cycle totals above 2^53 are not representable as f64.
+        let big = (1u64 << 53) + 1;
+        let r = SweepReport {
+            extra_aggregates: vec![AggregateRow {
+                total_sim_cycles: big,
+                ..sample_sweep().extra_aggregates[0].clone()
+            }],
+            ..sample_sweep()
+        };
+        assert_eq!(
+            AggregateRow::parse_report(&r.to_json())[1].total_sim_cycles,
+            big
+        );
+    }
+
+    #[test]
+    fn checked_in_sweep_record_yields_its_two_aggregate_rows() {
+        let text = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_sweep.json"
+        ));
+        assert_eq!(
+            AggregateRow::parse_report(text),
+            vec![
+                AggregateRow {
+                    jobs: 4,
+                    wall_ms: 58263.591186,
+                    total_sim_cycles: 1302585300,
+                    mcycles_per_sec: 22.356763005590267,
+                },
+                AggregateRow {
+                    jobs: 1,
+                    wall_ms: 54236.159869,
+                    total_sim_cycles: 1302585300,
+                    mcycles_per_sec: 24.016916078612795,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! bound) and the Fig 14 occupancy plots read.
 
 use aff_sim_core::trace::Event;
-use serde::{Deserialize, Serialize};
 
 /// Access/residency counters for every L3 bank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankCounters {
     accesses: Vec<u64>,
     atomics: Vec<u64>,

@@ -2,7 +2,6 @@
 
 use aff_mem::addr::VAddr;
 use aff_mem::pool::PoolError;
-use serde::{Deserialize, Serialize};
 
 /// Maximum affinity addresses per irregular allocation (§5.1: the
 /// application samples a subset when it has more).
@@ -26,7 +25,7 @@ pub const MAX_AFFINITY_ADDRS: usize = 32;
 /// let req = AffineArrayReq::with_hint(8, 100, &h);
 /// assert_eq!(req.hint(), h);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum AffinityHint {
     /// No affinity structure: the allocator picks freely (Eq 4 over an
     /// empty affinity set).
@@ -106,7 +105,7 @@ impl AffinityHint {
 ///     &AffinityHint::AlignTo { partner: a_addr, p: 1, q: 1, x: 0 },
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineArrayReq {
     /// Element size in bytes.
     pub elem_size: u64,
@@ -185,50 +184,6 @@ impl AffineArrayReq {
         }
     }
 
-    /// Align element-for-element with `partner` (`B[i] ↔ A[i]`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::AlignTo`"
-    )]
-    pub fn align_to(mut self, partner: VAddr) -> Self {
-        self.align_to = Some(partner);
-        self
-    }
-
-    /// Align with ratio and offset: `B[i] ↔ A[(p/q)·i + x]`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::AlignTo`"
-    )]
-    pub fn align_ratio(mut self, p: u64, q: u64, x: u64) -> Self {
-        self.align_p = p;
-        self.align_q = q;
-        self.align_x = x;
-        self
-    }
-
-    /// Request intra-array affinity between elements `i` and `i + row_stride`
-    /// (Fig 8(c)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::IntraStride`"
-    )]
-    pub fn intra_stride(mut self, row_stride: u64) -> Self {
-        self.align_to = None;
-        self.align_x = row_stride;
-        self
-    }
-
-    /// Set the partition flag (Fig 9).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::Partition`"
-    )]
-    pub fn partitioned(mut self) -> Self {
-        self.partition = true;
-        self
-    }
-
     /// Total payload bytes.
     pub fn total_bytes(&self) -> u64 {
         self.elem_size * self.num_elem
@@ -249,7 +204,7 @@ impl AffineArrayReq {
 }
 
 /// Which quota axis an admission rejection hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuotaKind {
     /// The tenant's resident-byte cap.
     Bytes,
@@ -434,27 +389,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn builder_chains() {
-        let r = AffineArrayReq::new(4, 100)
-            .align_to(VAddr(0x40))
-            .align_ratio(4, 1, 2);
-        assert_eq!(r.align_to, Some(VAddr(0x40)));
-        assert_eq!((r.align_p, r.align_q, r.align_x), (4, 1, 2));
-        let p = AffineArrayReq::new(4, 100).partitioned();
-        assert!(p.partition);
-        let i = AffineArrayReq::new(4, 100).intra_stride(32);
-        assert_eq!(i.align_x, 32);
-        assert!(i.align_to.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_equal_hint_constructors() {
-        // The shim contract: every legacy builder chain produces the exact
-        // request `with_hint` produces for the corresponding hint.
-        let legacy = AffineArrayReq::new(4, 100).align_to(VAddr(0x40)).align_ratio(4, 1, 2);
-        let hinted = AffineArrayReq::with_hint(
+    fn with_hint_sets_the_request_fields() {
+        let r = AffineArrayReq::with_hint(
             4,
             100,
             &AffinityHint::AlignTo {
@@ -464,15 +400,12 @@ mod tests {
                 x: 2,
             },
         );
-        assert_eq!(legacy, hinted);
-        assert_eq!(
-            AffineArrayReq::new(4, 100).partitioned(),
-            AffineArrayReq::with_hint(4, 100, &AffinityHint::Partition)
-        );
-        assert_eq!(
-            AffineArrayReq::new(4, 100).intra_stride(32),
-            AffineArrayReq::with_hint(4, 100, &AffinityHint::IntraStride { stride: 32 })
-        );
+        assert_eq!(r.align_to, Some(VAddr(0x40)));
+        assert_eq!((r.align_p, r.align_q, r.align_x), (4, 1, 2));
+        assert!(AffineArrayReq::with_hint(4, 100, &AffinityHint::Partition).partition);
+        let i = AffineArrayReq::with_hint(4, 100, &AffinityHint::IntraStride { stride: 32 });
+        assert_eq!(i.align_x, 32);
+        assert!(i.align_to.is_none());
         assert_eq!(
             AffineArrayReq::new(4, 100),
             AffineArrayReq::with_hint(4, 100, &AffinityHint::None)

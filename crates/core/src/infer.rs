@@ -30,8 +30,8 @@
 
 use crate::api::AffinityHint;
 use aff_mem::addr::VAddr;
+use aff_sim_core::json::{self, Value};
 use aff_sim_core::mine::{MinedTrace, PairSamples, RegionKind};
-use serde::{Deserialize, Serialize};
 
 /// Minimum paired samples before a fit is attempted.
 const MIN_PAIR_SAMPLES: usize = 24;
@@ -71,7 +71,7 @@ const OFFLOAD_BYTES_PER_OP: f64 = 1.0;
 
 /// One region's inferred hint, in region-ordinal space (ordinals are
 /// allocation order, the stable cross-run identity).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferredHint {
     /// No exploitable structure found.
     None,
@@ -113,7 +113,7 @@ impl InferredHint {
 }
 
 /// The inferred hint for one region, with its supporting evidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionHint {
     /// Region ordinal (allocation order).
     pub region: u32,
@@ -130,7 +130,7 @@ pub struct RegionHint {
 /// The serializable output of one profiling run: per-region hints plus the
 /// NSC offload verdict. Feed it back into a replay run via
 /// [`hint_for`](Self::hint_for) in place of hand annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AffinityProfile {
     /// Per-region hints, ordered by region ordinal.
     pub hints: Vec<RegionHint>,
@@ -472,150 +472,81 @@ impl AffinityProfile {
         self.hints.iter().filter(|h| h.hint != InferredHint::None).count() as u64
     }
 
-    /// Serialize to a compact, deterministic JSON document (hand-rolled —
-    /// the workspace carries no JSON dependency).
+    /// Serialize to a deterministic JSON document (schema
+    /// `aff-profile/v1`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.hints.len() * 96);
-        s.push_str("{\"schema\":\"aff-profile/v1\",\"hints\":[");
-        for (i, h) in self.hints.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"region\":{},\"kind\":\"{}\",\"hint\":\"{}\"",
-                h.region,
-                h.kind,
-                h.hint.label()
-            ));
+        let hints = self.hints.iter().map(|h| {
+            let mut fields = vec![
+                ("region", h.region.into()),
+                ("kind", (&h.kind).into()),
+                ("hint", h.hint.label().into()),
+            ];
             match h.hint {
-                InferredHint::AlignTo { partner, p, q, x } => {
-                    s.push_str(&format!(
-                        ",\"partner\":{partner},\"p\":{p},\"q\":{q},\"x\":{x}"
-                    ));
-                }
-                InferredHint::IntraStride { stride } => {
-                    s.push_str(&format!(",\"stride\":{stride}"));
-                }
+                InferredHint::AlignTo { partner, p, q, x } => fields.extend([
+                    ("partner", partner.into()),
+                    ("p", p.into()),
+                    ("q", q.into()),
+                    ("x", x.into()),
+                ]),
+                InferredHint::IntraStride { stride } => fields.push(("stride", stride.into())),
                 _ => {}
             }
-            s.push_str(&format!(",\"confidence\":{:.6}}}", h.confidence));
-        }
-        s.push_str(&format!(
-            "],\"traffic_bytes_per_op\":{:.6},\"offload_nsc\":{},\"steps\":{},\"touch_events\":{}}}",
-            self.traffic_bytes_per_op, self.offload_nsc, self.steps, self.touch_events
-        ));
-        s
+            fields.push(("confidence", h.confidence.into()));
+            Value::object(fields)
+        });
+        Value::object([
+            ("schema", "aff-profile/v1".into()),
+            ("hints", hints.collect()),
+            ("traffic_bytes_per_op", self.traffic_bytes_per_op.into()),
+            ("offload_nsc", self.offload_nsc.into()),
+            ("steps", self.steps.into()),
+            ("touch_events", self.touch_events.into()),
+        ])
+        .render()
     }
 
-    /// Parse a document produced by [`to_json`](Self::to_json). Returns
-    /// `None` on any structural mismatch (unknown schema, missing field,
-    /// malformed number) — the caller treats that as "no profile".
+    /// Parse an `aff-profile/v1` document. Returns `None` on anything else
+    /// (invalid JSON, unknown schema, missing field, a number out of range
+    /// for its field) — the caller treats that as "no profile".
     pub fn from_json(text: &str) -> Option<Self> {
-        let schema = json_str_field(text, "schema")?;
-        if schema != "aff-profile/v1" {
+        let doc = json::parse(text).ok()?;
+        if doc.get("schema")?.as_str()? != "aff-profile/v1" {
             return None;
         }
-        let hints_src = json_array_field(text, "hints")?;
+        let u64_of = |v: &Value, key: &str| v.get(key)?.as_u64();
+        let u32_of = |v: &Value, key: &str| u32::try_from(u64_of(v, key)?).ok();
         let mut hints = Vec::new();
-        for obj in json_objects(hints_src) {
-            let region = json_u64_field(obj, "region")? as u32;
-            let kind = json_str_field(obj, "kind")?.to_string();
-            let label = json_str_field(obj, "hint")?;
-            let hint = match label {
+        for h in doc.get("hints")?.as_array()? {
+            let hint = match h.get("hint")?.as_str()? {
                 "none" => InferredHint::None,
                 "align_to" => InferredHint::AlignTo {
-                    partner: json_u64_field(obj, "partner")? as u32,
-                    p: json_u64_field(obj, "p")?,
-                    q: json_u64_field(obj, "q")?,
-                    x: json_u64_field(obj, "x")?,
+                    partner: u32_of(h, "partner")?,
+                    p: u64_of(h, "p")?,
+                    q: u64_of(h, "q")?,
+                    x: u64_of(h, "x")?,
                 },
                 "intra_stride" => InferredHint::IntraStride {
-                    stride: json_u64_field(obj, "stride")?,
+                    stride: u64_of(h, "stride")?,
                 },
                 "partition" => InferredHint::Partition,
                 "chain" => InferredHint::Chain,
                 _ => return None,
             };
-            let confidence = json_f64_field(obj, "confidence")?;
             hints.push(RegionHint {
-                region,
-                kind,
+                region: u32_of(h, "region")?,
+                kind: h.get("kind")?.as_str()?.to_string(),
                 hint,
-                confidence,
+                confidence: h.get("confidence")?.as_f64()?,
             });
         }
         Some(AffinityProfile {
             hints,
-            traffic_bytes_per_op: json_f64_field(text, "traffic_bytes_per_op")?,
-            offload_nsc: json_bool_field(text, "offload_nsc")?,
-            steps: json_u64_field(text, "steps")?,
-            touch_events: json_u64_field(text, "touch_events")?,
+            traffic_bytes_per_op: doc.get("traffic_bytes_per_op")?.as_f64()?,
+            offload_nsc: doc.get("offload_nsc")?.as_bool()?,
+            steps: u64_of(&doc, "steps")?,
+            touch_events: u64_of(&doc, "touch_events")?,
         })
     }
-}
-
-// --- Minimal field extractors for the documents `to_json` emits. Not a
-// --- general JSON parser: they rely on the emitter's canonical layout
-// --- (no escapes inside strings, no nested arrays inside hint objects).
-
-fn json_field_start<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = src.find(&needle)?;
-    Some(&src[at + needle.len()..])
-}
-
-fn json_str_field<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field_start(src, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn json_num_slice<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field_start(src, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-' && c != 'e' && c != '+')
-        .unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
-}
-
-fn json_u64_field(src: &str, key: &str) -> Option<u64> {
-    json_num_slice(src, key)?.parse().ok()
-}
-
-fn json_f64_field(src: &str, key: &str) -> Option<f64> {
-    json_num_slice(src, key)?.parse().ok()
-}
-
-fn json_bool_field(src: &str, key: &str) -> Option<bool> {
-    let rest = json_field_start(src, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// The bracketed body of `"key":[...]` (flat arrays of flat objects only).
-fn json_array_field<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field_start(src, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    Some(&rest[..end])
-}
-
-/// Iterate the `{...}` objects of a flat array body.
-fn json_objects(body: &str) -> impl Iterator<Item = &str> {
-    let mut rest = body;
-    std::iter::from_fn(move || {
-        let start = rest.find('{')?;
-        let end = rest[start..].find('}')? + start;
-        let obj = &rest[start..=end];
-        rest = &rest[end + 1..];
-        Some(obj)
-    })
 }
 
 #[cfg(test)]
@@ -859,6 +790,53 @@ mod tests {
         // Junk is rejected, not misparsed.
         assert!(AffinityProfile::from_json("{}").is_none());
         assert!(AffinityProfile::from_json("{\"schema\":\"other/v9\"}").is_none());
+    }
+
+    /// A profile as written before the shared JSON writer (compact, six
+    /// decimals), and the same document after `jq .`.
+    const OLD_PROFILE: &str = r#"{"schema":"aff-profile/v1","hints":[{"region":0,"kind":"array","hint":"partition","confidence":0.490272},{"region":1,"kind":"nodes","hint":"chain","confidence":1.000000}],"traffic_bytes_per_op":17.739982,"offload_nsc":true,"steps":257,"touch_events":22152}"#;
+    const JQ_PROFILE: &str = r#"{
+  "schema": "aff-profile/v1",
+  "hints": [
+    {
+      "region": 0,
+      "kind": "array",
+      "hint": "partition",
+      "confidence": 0.490272
+    },
+    {
+      "region": 1,
+      "kind": "nodes",
+      "hint": "chain",
+      "confidence": 1
+    }
+  ],
+  "traffic_bytes_per_op": 17.739982,
+  "offload_nsc": true,
+  "steps": 257,
+  "touch_events": 22152
+}
+"#;
+
+    #[test]
+    fn reformatted_and_old_format_profiles_load() {
+        let old = AffinityProfile::from_json(OLD_PROFILE).expect("old-format profile loads");
+        assert_eq!(old.hints.len(), 2);
+        assert_eq!(old.hints[0].hint, InferredHint::Partition);
+        assert_eq!(old.hints[1].confidence, 1.0);
+        assert_eq!(old.touch_events, 22152);
+        assert_eq!(AffinityProfile::from_json(JQ_PROFILE), Some(old.clone()));
+        // And the current writer's output reads back to the same profile.
+        assert_eq!(AffinityProfile::from_json(&old.to_json()), Some(old));
+    }
+
+    #[test]
+    fn out_of_range_region_is_rejected() {
+        let wide = OLD_PROFILE.replacen("\"region\":0", "\"region\":4294967296", 1);
+        assert_ne!(wide, OLD_PROFILE);
+        assert_eq!(AffinityProfile::from_json(&wide), None);
+        let negative = OLD_PROFILE.replacen("\"region\":0", "\"region\":-1", 1);
+        assert_eq!(AffinityProfile::from_json(&negative), None);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!   paper's default.
 
 use crate::lanes::total_order_key;
-use serde::{Deserialize, Serialize};
 
 /// The bank-select policy of the irregular allocation path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BankSelectPolicy {
     /// Uniform random bank (layout-oblivious baseline).
     Rnd,

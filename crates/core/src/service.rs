@@ -59,7 +59,6 @@ use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::fault::{FaultChange, FaultPlan};
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::tenant::{RetryPolicy, TenantId, TenantSpec, TenantUsage};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -115,7 +114,7 @@ impl ServiceConfig {
 
 /// Per-tenant admission/fault counters (the service half of
 /// [`TenantUsage`]; the NSC engine fills in the offload half).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Requests admitted (malloc + free + realloc).
     pub admitted: u64,

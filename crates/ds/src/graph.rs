@@ -5,14 +5,12 @@
 //! lists. Edges are kept sorted by source vertex — the paper notes this is
 //! common practice and is what makes long edge runs placeable (Fig 19).
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex identifier.
 pub type VertexId = u32;
 
 /// A directed graph in CSR form. For the undirected workloads (bfs, pr) the
 /// builder symmetrizes, so in-neighbors equal out-neighbors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,

@@ -3,17 +3,13 @@
 //! Keeping the two statically distinct rules out the classic simulator bug of
 //! indexing the IOT (physical) with a virtual address or vice versa.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 macro_rules! addr_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl $name {

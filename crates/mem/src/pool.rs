@@ -17,7 +17,6 @@
 use crate::addr::{PAddr, VAddr};
 use crate::iot::{Iot, IotError};
 use aff_sim_core::config::PAGE_SIZE;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Virtual base of the first pool.
@@ -29,7 +28,7 @@ pub const POOL_STRIDE: u64 = 1 << 40;
 pub const POOL_PA_BASE: u64 = 1 << 40;
 
 /// Identifier of an interleave pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PoolId(pub(crate) u32);
 
 impl PoolId {
@@ -70,7 +69,7 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Pool {
     intrlv: u64,
     va_start: VAddr,

@@ -178,18 +178,7 @@ impl CycleNoc {
     }
 
     /// Simulate `packets` (all ready at cycle 0, injected in order per
-    /// source) until delivery or `max_cycles`.
-    ///
-    /// This legacy entry point runs with the watchdog disabled and reports
-    /// whatever was delivered when it stopped — a wedged network silently
-    /// spins to `max_cycles`. Prefer [`CycleNoc::try_simulate`] for anything
-    /// driven by a fault plan.
-    #[deprecated(note = "use try_simulate")]
-    pub fn simulate(&self, packets: &[Packet], max_cycles: u64) -> CycleReport {
-        self.run_inner(packets, max_cycles, 0, None, None, None).report
-    }
-
-    /// Simulate `packets` under `budget`, distinguishing *how* a run ended:
+    /// source) under `budget`, distinguishing *how* a run ended:
     ///
     /// * delivered everything → `Ok(CycleReport)`;
     /// * no flit moved for `budget.stall_patience` consecutive cycles while
@@ -747,18 +736,6 @@ mod tests {
             }
         }
         packets
-    }
-
-    /// Compat pin: the deprecated [`CycleNoc::simulate`] must stay
-    /// byte-identical to [`CycleNoc::try_simulate`] on a draining run.
-    #[test]
-    #[allow(deprecated)]
-    fn try_simulate_matches_simulate_on_success() {
-        use aff_sim_core::error::RunBudget;
-        let rep = noc()
-            .try_simulate(&saturating_traffic(), &RunBudget::unlimited())
-            .expect("healthy mesh drains");
-        assert_eq!(rep, noc().simulate(&saturating_traffic(), 1_000_000));
     }
 
     #[test]

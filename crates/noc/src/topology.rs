@@ -19,7 +19,7 @@
 //!
 //! The [`TopologyModel`] trait is the seam for structurally different
 //! geometries. [`Topology`] keeps the three value-level kinds (`Mesh`,
-//! `Torus`, `CMesh`) in one `Copy` + serde-friendly struct because they share
+//! `Torus`, `CMesh`) in one `Copy` struct because they share
 //! the rectangular node grid; a chiplet-of-meshes machine (K chiplets, each
 //! an inner mesh, joined by a sparse inter-chiplet network) would *not* fit a
 //! single grid, and is the intended first non-`Topology` implementor: it
@@ -32,7 +32,6 @@
 
 use aff_sim_core::config::{BankOrder, TopologyKind};
 use aff_sim_core::fault::LinkRef;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an L3 bank / mesh tile (row-major).
 pub type BankId = u32;
@@ -40,7 +39,7 @@ pub type BankId = u32;
 /// A position on the router grid. For mesh and torus geometries this is also
 /// the tile/bank position; for a concentrated mesh it names a router shared
 /// by a 2×2 bank block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column, `0 ..= grid_x-1`.
     pub x: u32,
@@ -55,7 +54,7 @@ pub struct Coord {
 /// (`x = W-1 → 0` or the reverse); see [`Topology::link_index`] for how wrap
 /// links share index slots with their coordinate-adjacent interpretation on
 /// degenerate 2-wide rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Source router.
     pub from: Coord,
@@ -125,13 +124,11 @@ pub trait TopologyModel {
 
 /// A rectangular grid of tiles connected as a mesh, torus, or concentrated
 /// mesh, with dimension-ordered (X then Y) routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     mesh_x: u32,
     mesh_y: u32,
     order: BankOrder,
-    /// Serde-defaulted (`Mesh`) so pre-geometry serialized topologies load.
-    #[serde(default)]
     kind: TopologyKind,
 }
 

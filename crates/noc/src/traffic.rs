@@ -18,10 +18,9 @@ use crate::fault_route::{FaultRouter, LIMP_COST};
 use crate::topology::{BankId, Topology};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
 use aff_sim_core::trace::{Event, TrafficKind};
-use serde::{Deserialize, Serialize};
 
 /// The paper's three traffic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Stream config / credits / migration.
     Offload,
@@ -75,7 +74,7 @@ impl From<TrafficKind> for TrafficClass {
 
 /// One recorded message, kept only when packet logging is enabled (the DES
 /// model replays these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Source bank.
     pub src: BankId,

@@ -3,7 +3,7 @@
 //! Workload executors translate their kernels into calls on [`SimEngine`] —
 //! "core 3 read 512 lines from bank 9", "stream migrated from bank 4 to 5",
 //! "CAS executed at bank 61 from bank 7" — and the engine attributes each to
-//! a traffic class, a bank, and an energy event. [`SimEngine::finish`] then
+//! a traffic class, a bank, and an energy event. [`SimEngine::try_finish`] then
 //! resolves capacity misses against the DRAM model and computes the analytic
 //! cycle estimate:
 //!
@@ -31,7 +31,6 @@ use aff_sim_core::fault::{self, DegradationReport, FaultEvent, FaultPlan, FaultT
 use aff_sim_core::tenant::{TenantId, TenantUsage};
 use aff_sim_core::mine;
 use aff_sim_core::trace::{self, Event, Recorder, TrafficKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Iterations covered by one coarse-grained credit message (§2.2).
@@ -59,7 +58,7 @@ struct PendingCharge {
 }
 
 /// Where the analytic cycle count came from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleBreakdown {
     /// Core pipeline bound: total core ops over the aggregate issue width of
     /// all tiles (assumes the workload threads evenly, which the OpenMP
@@ -94,7 +93,7 @@ impl CycleBreakdown {
 }
 
 /// Results of one simulated kernel execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Metrics {
     /// Analytic cycle estimate.
     pub cycles: u64,
@@ -124,29 +123,23 @@ pub struct Metrics {
     pub degradation: DegradationReport,
     /// The fault-timeline events this run actually applied, in order — the
     /// transition log a chaos harness checks against the schedule. Empty for
-    /// a static fault plan (and for every run recorded before timelines
-    /// existed, hence the serde default).
-    #[serde(default)]
+    /// a static fault plan.
     pub transitions: Vec<FaultEvent>,
     /// Allocator free-bytes / (live + free) ratio at the end of the run.
     /// The engine itself has no allocator, so this is `0.0` unless the
     /// harness fills it in from `AffinityAllocator::fragmentation()` (the
-    /// multi-tenant churn cells do); serde-defaulted for old recordings.
-    #[serde(default)]
+    /// multi-tenant churn cells do).
     pub fragmentation_ratio: f64,
     /// Per-tenant offload attribution, present when the run installed tenant
-    /// contexts via [`SimEngine::set_tenant`]. Empty (and serde-defaulted)
-    /// for every single-tenant run.
-    #[serde(default)]
+    /// contexts via [`SimEngine::set_tenant`]. Empty for every single-tenant
+    /// run.
     pub tenants: Vec<TenantUsage>,
     /// Where the run's affinity hints came from: `None` for ordinary
     /// (annotated) runs, else `"annotated"`, `"inferred"`, or `"none"` as
-    /// stamped by the inference harness. Serde-defaulted for old recordings.
-    #[serde(default)]
+    /// stamped by the inference harness.
     pub hint_source: Option<String>,
     /// Number of hints applied from an inferred `AffinityProfile`
-    /// (harness-stamped; 0 everywhere else). Serde-defaulted likewise.
-    #[serde(default)]
+    /// (harness-stamped; 0 everywhere else).
     pub inferred_hints: u64,
 }
 
@@ -690,13 +683,6 @@ impl SimEngine {
         self.topo
     }
 
-    /// Direct read access to the traffic matrix (tests, DES replay). Takes
-    /// `&mut self` so pending coalesced charges land before the read.
-    #[deprecated(note = "use traffic_mut (or traffic_snapshot for &self reads)")]
-    pub fn traffic(&mut self) -> &TrafficMatrix {
-        self.traffic_mut()
-    }
-
     /// The authoritative view of the traffic matrix: pending coalesced
     /// charges are flushed first, so every primitive called so far is
     /// reflected. Use this for tests, DES replay, and anything that compares
@@ -1187,13 +1173,6 @@ impl SimEngine {
 
     // ---------- finish ----------
 
-    /// Resolve capacity misses, compute the cycle estimate, and produce
-    /// [`Metrics`]. Consumes the engine — one engine per kernel execution.
-    #[deprecated(note = "use try_finish")]
-    pub fn finish(self) -> Metrics {
-        self.finish_inner()
-    }
-
     /// The analytic cycle breakdown over the counters accumulated so far.
     /// Callers flush pending coalesced charges first (capacity misses and
     /// fault epochs write the traffic matrix directly, so both call sites
@@ -1220,9 +1199,15 @@ impl SimEngine {
         }
     }
 
-    /// Shared body of [`finish`](Self::finish) and
-    /// [`try_finish`](Self::try_finish); both produce byte-identical metrics.
-    fn finish_inner(mut self) -> Metrics {
+    /// Resolve capacity misses, compute the cycle estimate, and produce
+    /// [`Metrics`]. Consumes the engine — one engine per kernel execution.
+    ///
+    /// The run is held to the machine's
+    /// [`RunBudget`](aff_sim_core::error::RunBudget): when the
+    /// cycle estimate exceeds `budget.max_cycles` the run reports
+    /// [`SimError::BudgetExhausted`] instead of returning metrics, so a
+    /// sweep can refuse to merge results from a run that blew its ceiling.
+    pub fn try_finish(mut self) -> Result<Metrics, SimError> {
         self.flush_charges();
         // Any fault events the phase boundaries did not reach fire now, at
         // the final progress estimate — events scheduled beyond the run's
@@ -1270,7 +1255,16 @@ impl SimEngine {
         };
         let model = EnergyModel::default();
 
-        Metrics {
+        if let Some(limit) = self.config.budget.max_cycles {
+            if cycles > limit {
+                return Err(SimError::BudgetExhausted {
+                    budget: BudgetKind::Cycles,
+                    limit,
+                    reached: cycles,
+                });
+            }
+        }
+        Ok(Metrics {
             cycles,
             breakdown,
             hop_flits: [
@@ -1296,27 +1290,7 @@ impl SimEngine {
             tenants: self.tenant_usage,
             hint_source: None,
             inferred_hints: 0,
-        }
-    }
-
-    /// [`SimEngine::finish`] under the machine's
-    /// [`RunBudget`](aff_sim_core::error::RunBudget): when the
-    /// cycle estimate exceeds `budget.max_cycles` the run reports
-    /// [`SimError::BudgetExhausted`] instead of returning metrics, so a
-    /// sweep can refuse to merge results from a run that blew its ceiling.
-    pub fn try_finish(self) -> Result<Metrics, SimError> {
-        let budget = self.config.budget;
-        let metrics = self.finish_inner();
-        if let Some(limit) = budget.max_cycles {
-            if metrics.cycles > limit {
-                return Err(SimError::BudgetExhausted {
-                    budget: BudgetKind::Cycles,
-                    limit,
-                    reached: metrics.cycles,
-                });
-            }
-        }
-        Ok(metrics)
+        })
     }
 }
 
@@ -1418,35 +1392,6 @@ mod tests {
             flushed,
             "after a flush the snapshot agrees"
         );
-    }
-
-    /// Compat pin: the deprecated [`SimEngine::traffic`] must stay identical
-    /// to [`SimEngine::traffic_mut`] (both flush pending charges).
-    #[test]
-    #[allow(deprecated)]
-    fn traffic_matches_traffic_mut() {
-        let mut a = engine();
-        a.remote_atomic(0, 9, 3);
-        let want = a.traffic_mut().total_hop_flits();
-        let mut b = engine();
-        b.remote_atomic(0, 9, 3);
-        assert_eq!(b.traffic().total_hop_flits(), want);
-    }
-
-    /// Compat pin: the deprecated [`SimEngine::finish`] must stay identical
-    /// to [`SimEngine::try_finish`] on an unlimited budget.
-    #[test]
-    #[allow(deprecated)]
-    fn finish_matches_try_finish() {
-        let mut a = engine();
-        busy_run(&mut a);
-        let mut b = engine();
-        busy_run(&mut b);
-        let (ma, mb) = (a.finish(), fin(b));
-        assert_eq!(ma.cycles, mb.cycles);
-        assert_eq!(ma.total_hop_flits, mb.total_hop_flits);
-        assert_eq!(ma.breakdown, mb.breakdown);
-        assert_eq!(ma.dram_accesses, mb.dram_accesses);
     }
 
     #[test]

@@ -115,30 +115,10 @@ impl<'a> Interp<'a> {
     }
 
     /// Execute `graph` for `n` elements with one [`Binding`] per stream
-    /// (same order as the graph's declarations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if bindings mismatch the graph (wrong count, binding kind
-    /// incompatible with stream kind, missing address producer, cyclic
-    /// dependences). Use [`Interp::try_execute_affine`] to get these (and
-    /// budget exhaustion) as typed [`SimError`]s instead.
-    #[deprecated(note = "use try_execute_affine")]
-    pub fn execute_affine(
-        &mut self,
-        graph: &StreamGraph,
-        bindings: &[Binding],
-        n: u64,
-    ) -> InterpReport {
-        // invariant: with an unlimited budget the only failure modes are
-        // caller bugs (mismatched bindings, cyclic graphs), which this
-        // legacy entry point reports by panicking.
-        self.try_execute_affine(graph, bindings, n, &RunBudget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Budget-aware [`Interp::execute_affine`]: graph/binding mismatches
-    /// surface as [`SimError::InvalidConfig`] and every element access
+    /// (same order as the graph's declarations) under `budget`.
+    /// Graph/binding mismatches (wrong count, binding kind incompatible with
+    /// stream kind, missing address producer, cyclic dependences) surface
+    /// as [`SimError::InvalidConfig`] and every element access
     /// counts against `budget.max_events` (`wall_ms` is checked once per
     /// 4096 elements), so runaway interpreter loops terminate with
     /// [`SimError::BudgetExhausted`] instead of spinning.
@@ -525,17 +505,6 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other}"),
         }
-    }
-
-    /// Compat pin: the deprecated [`Interp::execute_affine`] must keep its
-    /// documented panic contract (delegating to `try_execute_affine`).
-    #[test]
-    #[should_panic(expected = "one binding per stream")]
-    #[allow(deprecated)]
-    fn binding_count_checked() {
-        let mut space = space();
-        let graph = StreamGraph::vec_add();
-        Interp::new(&mut space).execute_affine(&graph, &[], 1);
     }
 
     #[test]

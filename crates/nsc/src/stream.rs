@@ -7,10 +7,8 @@
 //! stream compiler — and the executors charge configuration and credit
 //! traffic from the graph's shape.
 
-use serde::{Deserialize, Serialize};
-
 /// The long-term access pattern of a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Affine load: `A[p/q · i + x]`.
     AffineLoad,
@@ -27,7 +25,7 @@ pub enum StreamKind {
 }
 
 /// How one stream depends on another (edge labels of Fig 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// Consumer needs the producer's value (e.g. `sc` needs `sa`, `sb`).
     Value,
@@ -39,7 +37,7 @@ pub enum DepKind {
 }
 
 /// One stream declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamDecl {
     /// Short name used in reports (`"sa"`, `"sv"`, …).
     pub name: String,
@@ -53,7 +51,7 @@ pub struct StreamDecl {
 }
 
 /// One dependence edge, by stream indices into the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepEdge {
     /// Producer stream index.
     pub from: usize,
@@ -64,7 +62,7 @@ pub struct DepEdge {
 }
 
 /// A stream dependence graph — what the NSC compiler emits per loop nest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamGraph {
     name: String,
     streams: Vec<StreamDecl>,

@@ -5,8 +5,6 @@
 //! single [`MachineConfig`] so that an experiment can vary one knob (mesh
 //! size, bank capacity, default interleave, …) and have the whole stack agree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RunBudget;
 use crate::fault::{FaultPlan, FaultTimeline};
 
@@ -21,7 +19,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// How bank ids map onto mesh coordinates (§4.1 "Other Interleave
 /// Patterns": more sophisticated interleave patterns can be supported by
 /// changing how L3 banks are numbered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BankOrder {
     /// Row-major: bank `i` at `(i % X, i / X)`. The paper's baseline.
     #[default]
@@ -35,7 +33,7 @@ pub enum BankOrder {
 /// Which network geometry connects the tiles (the "machine model" axis the
 /// scaling experiments sweep). The paper evaluates only the 8×8 mesh; the
 /// other kinds exist so its results become one point on a geometry curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// Plain W×H mesh with X-Y dimension-ordered routing. The paper baseline.
     #[default]
@@ -71,14 +69,11 @@ impl TopologyKind {
 /// [`MachineConfig::builder`] (or one of the presets) instead of a struct
 /// literal.
 ///
-/// Serde-default audit: every field added after the original Table 2 schema
-/// (`bank_order`, `topology`, `allow_npot_interleave`, `faults`, `budget`,
-/// `fault_timeline`) carries `#[serde(default)]`, and each of those defaults
-/// reproduces the paper-default value (`RowMajor`, `Mesh`, `false`, no faults,
-/// unlimited budget, empty timeline) — so configs serialized before those
-/// knobs existed still load and mean the same machine. Core Table 2 fields
-/// are deliberately *not* defaulted: a config missing `mesh_x` is a bug, not
-/// an old file.
+/// Every field added after the original Table 2 parameters (`bank_order`,
+/// `topology`, `allow_npot_interleave`, `faults`, `budget`,
+/// `fault_timeline`) has a `Default` impl that gives the paper-default value
+/// (`RowMajor`, `Mesh`, `false`, no faults, unlimited budget, empty
+/// timeline), so leaving one of those knobs unset means the paper's machine.
 ///
 /// # Example
 ///
@@ -90,7 +85,7 @@ impl TopologyKind {
 /// let small = MachineConfig::builder().mesh(4, 4).l3_bank_bytes(64 << 10).build();
 /// assert_eq!(small, MachineConfig::small_mesh());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct MachineConfig {
     /// Mesh width in tiles (paper: 8).
@@ -136,41 +131,31 @@ pub struct MachineConfig {
     pub iot_entries: u32,
     /// Throughput of one L3 bank in accesses per cycle.
     pub bank_accesses_per_cycle: f64,
-    /// Bank-numbering order on the mesh. Serde-defaulted (`RowMajor`, the
-    /// paper baseline) so pre-`BankOrder` configs still load.
-    #[serde(default)]
+    /// Bank-numbering order on the mesh. Defaults to `RowMajor`, the paper
+    /// baseline.
     pub bank_order: BankOrder,
     /// Network geometry connecting the `mesh_x` × `mesh_y` tile grid.
-    /// Serde-defaulted (`Mesh`, the paper baseline) so pre-geometry configs
-    /// still load and mean the same machine.
-    #[serde(default)]
+    /// Defaults to `Mesh`, the paper baseline.
     pub topology: TopologyKind,
     /// Accept interleave sizes that are any multiple of a cache line, not
     /// just powers of two (§4.1 future work: costs a division instead of a
     /// shift in the Eq 1 lookup, but removes padding-driven fallbacks —
     /// e.g. a 3:1 alignment ratio needs a 192 B interleave).
-    /// Serde-defaulted (`false`) so pre-flag configs still load.
-    #[serde(default)]
+    /// Defaults to `false`, the paper's power-of-two interleaves.
     pub allow_npot_interleave: bool,
     /// Injected faults for this experiment ([`FaultPlan::none`] for a healthy
     /// machine). Lives on the machine description so every component — NoC,
     /// cache model, allocator, stream engines — sees the same broken machine
-    /// without extra plumbing. Serde-defaulted (no faults) so configs written
-    /// before fault injection existed still load as healthy machines.
-    #[serde(default)]
+    /// without extra plumbing. Defaults to no faults.
     pub faults: FaultPlan,
     /// Run-to-completion budget ([`RunBudget::unlimited`] by default). Like
     /// `faults`, it lives on the machine description so the NoC simulators,
     /// the NSC interpreter and the engine all enforce the same ceilings.
-    /// Serde-defaulted so configs written before budgets existed still load.
-    #[serde(default)]
     pub budget: RunBudget,
     /// Cycle-stamped schedule of fault arrivals and repairs that land while
     /// the run is live ([`FaultTimeline::none`] for a machine whose fault
-    /// state never changes — the `faults` plan alone). Serde-defaulted (empty
-    /// timeline) so configs written before online faults existed still load
-    /// and mean the same machine.
-    #[serde(default)]
+    /// state never changes — the `faults` plan alone). Defaults to the empty
+    /// timeline.
     pub fault_timeline: FaultTimeline,
 }
 
@@ -728,10 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn topology_kind_serde_defaults_to_mesh() {
-        // `#[serde(default)]` fills a missing field with `Default::default()`,
-        // so a config serialized before the geometry knob existed loads as the
-        // paper-default mesh machine iff the Default impl says Mesh.
+    fn topology_kind_defaults_to_mesh() {
+        // An unset geometry knob means the paper's mesh machine.
         assert_eq!(TopologyKind::default(), TopologyKind::Mesh);
         assert_eq!(MachineConfig::paper_default().topology, TopologyKind::Mesh);
         assert_eq!(TopologyKind::Torus.label(), "torus");

@@ -12,19 +12,13 @@
 //!   (`try_*`) entry points of the NoC simulators, the NSC interpreter and
 //!   the engine; `Stalled` carries a [`StallSnapshot`] naming the routers
 //!   and fault-plan links implicated in a wedged network.
-//!
-//! The infallible legacy entry points (`simulate`, `execute_affine`, …) are
-//! unchanged: they run with an unlimited budget and keep their documented
-//! panics for true invariant violations.
-
-use serde::{Deserialize, Serialize};
 
 use crate::fault::LinkRef;
 
 /// Hard resource ceilings for one simulation run. `None` means unlimited;
 /// the default budget is fully unlimited, so installing a `RunBudget` is
 /// always opt-in and never changes healthy-run results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Maximum simulated cycles before [`SimError::BudgetExhausted`].
     pub max_cycles: Option<u64>,
@@ -103,7 +97,7 @@ impl Default for RunBudget {
 }
 
 /// Which [`RunBudget`] ceiling a run hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// `max_cycles` — simulated time.
     Cycles,
@@ -125,7 +119,7 @@ impl std::fmt::Display for BudgetKind {
 
 /// Diagnostic snapshot of a wedged cycle-level network, captured by the
 /// progress watchdog the moment it gives up.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallSnapshot {
     /// Cycle at which the watchdog fired.
     pub cycle: u64,
@@ -142,7 +136,6 @@ pub struct StallSnapshot {
     /// fired (newest last, at most [`STALL_TRACE_TAIL`] entries) — what the
     /// machine was doing right before it wedged, without needing a re-run.
     /// Empty when no thread trace was installed.
-    #[serde(default)]
     pub recent_events: Vec<String>,
 }
 
@@ -344,9 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_serde_roundtrip_defaults() {
-        // RunBudget must deserialize from an empty map so configs written
-        // before budgets existed keep loading.
+    fn budget_defaults_to_unlimited() {
+        // An unset budget means an unlimited run.
+        assert_eq!(RunBudget::default(), RunBudget::unlimited());
         let b = RunBudget::unlimited().with_max_cycles(42);
         let kinds = [BudgetKind::Cycles, BudgetKind::Events, BudgetKind::WallMs];
         assert_eq!(

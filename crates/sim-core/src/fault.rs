@@ -27,17 +27,13 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MachineConfig;
 use crate::rng::SimRng;
 
 /// A directed mesh link identified by tile coordinates, independent of the
 /// [`BankOrder`](crate::config::BankOrder) in use (bank ids move with the
 /// numbering; the physical wire between two tiles does not).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkRef {
     /// Source tile x.
     pub fx: u32,
@@ -111,7 +107,7 @@ impl std::error::Error for FaultPlanError {}
 ///
 /// Counts are clamped so the drawn plan always validates: at least one bank
 /// stays healthy, and link/controller counts never exceed what the mesh has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSpec {
     /// Banks whose cache dies entirely (tile router and core stay alive).
     pub failed_banks: u32,
@@ -144,7 +140,7 @@ impl FaultSpec {
 
 /// The set of injected faults for one experiment. See the module docs for the
 /// invariants every consumer upholds.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Banks whose L3 slice is dead. The tile itself (core, router) stays
     /// alive; the cache capacity is gone and resident lines remap to a spare.
@@ -378,9 +374,7 @@ impl FaultPlan {
 /// (`BankRepair` revives a dead bank and clears any slowdown; `LinkRepair`
 /// revives a dead link and clears any degradation), so a timeline never has
 /// to know which form was active when the repair lands.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultChange {
     /// A bank's L3 slice dies; resident lines must evacuate to a spare.
     BankFail(u32),
@@ -490,9 +484,7 @@ impl std::fmt::Display for FaultChange {
 /// Doubles as the *transition log* entry type: engines that apply a timeline
 /// record exactly which events they applied (and when), so a chaos harness
 /// can check the observed transitions against the schedule.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FaultEvent {
     /// Simulated cycle at which the change takes effect.
     pub cycle: u64,
@@ -515,7 +507,7 @@ impl std::fmt::Display for FaultEvent {
 /// cycle (stable for equal cycles, so same-cycle events apply in insertion
 /// order). The empty timeline upholds the same invariant an empty plan does:
 /// every consumer takes its original code path, byte for byte.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
 }
@@ -771,9 +763,7 @@ pub fn take_thread_chaos() -> Option<FaultTimeline> {
 /// How much the machine degraded under a [`FaultPlan`] — integer counters
 /// only, so reports are `Eq` and reproducible. A fault-free run reports all
 /// zeros.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DegradationReport {
     /// Messages that took a non-X-Y route because a link on their X-Y path
     /// was dead.
@@ -802,11 +792,9 @@ pub struct DegradationReport {
     pub fallback_allocations: u64,
     /// Timeline events applied while the run was live (0 without a
     /// [`FaultTimeline`]).
-    #[serde(default)]
     pub fault_epochs: u64,
     /// Cache lines evacuated through the NoC when a dying bank's residency
     /// moved to its spare.
-    #[serde(default)]
     pub evacuated_lines: u64,
 }
 

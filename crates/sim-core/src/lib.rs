@@ -10,7 +10,9 @@
 //! * [`trace`] — the typed [`trace::Event`] vocabulary and [`trace::Recorder`]
 //!   sink every component reports through (Chrome `trace_event` export),
 //! * [`metrics`] — hierarchical named counters/histograms fed by the same
-//!   event stream.
+//!   event stream,
+//! * [`json`] — the one JSON value type, writer and strict parser every
+//!   report and profile goes through.
 //!
 //! # Example
 //!
@@ -26,6 +28,7 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod mine;
 pub mod rng;

@@ -10,9 +10,9 @@
 //! same event choke point that feeds the traffic matrix also populates
 //! metrics — nothing is counted twice, and nothing can disagree.
 
+use crate::json::Value;
 use crate::trace::{Event, Recorder};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -250,46 +250,34 @@ impl MetricsRegistry {
         self.snapshots.extend(other.snapshots.iter().cloned());
     }
 
-    /// Deterministic JSON export (sorted keys, no external serializer).
+    /// Deterministic JSON export (sorted keys).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{k}\": {v}",
-                if i == 0 { "" } else { "," }
-            );
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{k}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p99\": {}}}",
-                if i == 0 { "" } else { "," },
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.percentile(0.5),
-                h.percentile(0.99),
-            );
-        }
-        out.push_str("\n  },\n  \"snapshots\": [");
-        for (i, s) in self.snapshots.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"label\": \"{}\", \"counters\": {{",
-                if i == 0 { "" } else { "," },
-                s.label
-            );
-            for (j, (k, v)) in s.counters.iter().enumerate() {
-                let _ = write!(out, "{}\"{k}\": {v}", if j == 0 { "" } else { ", " });
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let counters = |c: &BTreeMap<String, u64>| {
+            Value::Object(c.iter().map(|(k, &v)| (k.clone(), v.into())).collect())
+        };
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let summary = Value::object([
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+                ("min", h.min().into()),
+                ("max", h.max().into()),
+                ("p50", h.percentile(0.5).into()),
+                ("p99", h.percentile(0.99).into()),
+            ]);
+            (k.clone(), summary)
+        });
+        let snapshots = self.snapshots.iter().map(|s| {
+            Value::object([
+                ("label", (&s.label).into()),
+                ("counters", counters(&s.counters)),
+            ])
+        });
+        Value::object([
+            ("counters", counters(&self.counters)),
+            ("histograms", Value::Object(histograms.collect())),
+            ("snapshots", snapshots.collect()),
+        ])
+        .render()
     }
 }
 
@@ -513,10 +501,44 @@ mod tests {
         assert_eq!(a.counter("y"), 5);
         assert_eq!(a.histogram("h").map(Histogram::count), Some(2));
         assert_eq!(a.snapshots().len(), 1);
-        let json = a.to_json();
-        assert!(json.contains("\"x\": 3"));
-        assert!(json.contains("\"counters\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = crate::json::parse(&a.to_json()).expect("valid JSON");
+        assert_eq!(
+            doc.get("counters").and_then(|c| c.get("x")),
+            Some(&Value::U64(3))
+        );
+        assert_eq!(
+            doc.get("histograms")
+                .and_then(|h| h.get("h"))
+                .and_then(|h| h.get("max")),
+            Some(&Value::U64(9))
+        );
+    }
+
+    #[test]
+    fn json_escapes_keys_and_labels() {
+        let mut r = MetricsRegistry::new();
+        r.inc("bank \"7\"\\x", 2);
+        r.observe("lat\\ns", 5);
+        r.snapshot("phase \"one\"\\");
+        let doc = crate::json::parse(&r.to_json()).expect("quotes and backslashes are escaped");
+        let counters = doc.get("counters").expect("counters");
+        assert_eq!(counters.get("bank \"7\"\\x"), Some(&Value::U64(2)));
+        assert!(doc
+            .get("histograms")
+            .and_then(|h| h.get("lat\\ns"))
+            .is_some());
+        let snap = &doc
+            .get("snapshots")
+            .and_then(Value::as_array)
+            .expect("snapshots")[0];
+        assert_eq!(
+            snap.get("label").and_then(Value::as_str),
+            Some("phase \"one\"\\")
+        );
+        assert_eq!(
+            snap.get("counters").and_then(|c| c.get("bank \"7\"\\x")),
+            Some(&Value::U64(2))
+        );
     }
 
     #[test]

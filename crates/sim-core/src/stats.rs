@@ -5,8 +5,6 @@
 //! Fig 14). This module provides exactly those reductions plus a tiny
 //! streaming accumulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometric mean of strictly positive values.
 ///
 /// Returns `None` for an empty slice or if any value is not finite and
@@ -35,7 +33,7 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 }
 
 /// The five-point distribution the paper plots per bank in Fig 14.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FivePoint {
     /// Least-occupied bank.
     pub min: f64,
@@ -76,7 +74,7 @@ impl FivePoint {
 }
 
 /// Streaming accumulator for count / sum / min / max.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Accumulator {
     count: u64,
     sum: f64,

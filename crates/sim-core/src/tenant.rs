@@ -5,14 +5,12 @@
 //! The allocator-service layer (`affinity-alloc::service`) admits every
 //! `malloc_aff`/`free_aff` against a [`TenantSpec`]; the NSC engine attributes
 //! offload work to the tenant installed via `SimEngine::set_tenant`. Both
-//! report through [`TenantUsage`], the serde-stable record that lands in the
-//! `aff-bench/sweep-v5` metrics sidecar.
+//! report through [`TenantUsage`], the record that lands in the sweep
+//! report's metrics sidecar (`tenants`, since `aff-bench/sweep-v5`).
 //!
 //! Everything here is deterministic by construction: backoff delays are pure
 //! functions of `(seed, tenant, attempt)` via [`crate::rng::SimRng::split`],
 //! so a retry schedule replays bit-for-bit across runs and `--jobs` counts.
-
-use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
@@ -20,7 +18,7 @@ use crate::rng::SimRng;
 ///
 /// Ids are dense (0, 1, 2, …) in registration order; the service uses them
 /// directly as shard indices and as RNG stream ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
 impl std::fmt::Display for TenantId {
@@ -33,7 +31,7 @@ impl std::fmt::Display for TenantId {
 ///
 /// All three quota axes are enforced at admission, before any allocator state
 /// changes — a rejected request leaves the shard untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Human-readable name (figure labels, error context).
     pub name: String,
@@ -83,7 +81,7 @@ impl TenantSpec {
 /// Delays are logical admission-clock ticks, not wall time: the service's
 /// clock advances once per admission attempt, so a backoff of `n` means
 /// "yield the window to `n` other attempts before retrying".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Give up (surface `Overloaded` to the caller) after this many attempts.
     pub max_attempts: u32,
@@ -131,48 +129,35 @@ fn backoff_stream(tenant: u32, attempt: u32) -> u64 {
 /// Per-tenant usage snapshot: admission outcomes, residency and attributed
 /// offload work. Lands in the sweep-v5 sidecar; every field defaults so
 /// older readers and newer writers stay compatible.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantUsage {
     /// Tenant id (dense registration order).
     pub tenant: u32,
     /// Tenant name.
-    #[serde(default)]
     pub name: String,
     /// Requests admitted (malloc + free + realloc).
-    #[serde(default)]
     pub admitted: u64,
     /// Requests rejected with `QuotaExceeded`.
-    #[serde(default)]
     pub quota_rejects: u64,
     /// Requests shed with `Overloaded`.
-    #[serde(default)]
     pub shed: u64,
     /// Retries performed by the deterministic backoff loop.
-    #[serde(default)]
     pub retries: u64,
     /// Admission-clock ticks spent backing off.
-    #[serde(default)]
     pub backoff_ticks: u64,
     /// Resident bytes at snapshot time.
-    #[serde(default)]
     pub resident_bytes: u64,
     /// Cache lines evacuated from this tenant's banks by fault epochs.
-    #[serde(default)]
     pub evacuated_lines: u64,
     /// Bytes whose quota accounting migrated with fault evacuation.
-    #[serde(default)]
     pub migrated_bytes: u64,
     /// Stream-engine ops attributed to this tenant by the NSC engine.
-    #[serde(default)]
     pub se_ops: u64,
     /// OOO-core ops attributed to this tenant.
-    #[serde(default)]
     pub core_ops: u64,
     /// NoC messages attributed to this tenant.
-    #[serde(default)]
     pub traffic_msgs: u64,
     /// DRAM lines attributed to this tenant.
-    #[serde(default)]
     pub dram_lines: u64,
 }
 

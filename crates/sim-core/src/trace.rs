@@ -23,8 +23,8 @@
 //! [Perfetto](https://ui.perfetto.dev)) with one track per bank, router and
 //! DRAM controller.
 
+use crate::json::Value;
 use std::cell::RefCell;
-use std::fmt::Write as _;
 
 /// Traffic class of a NoC message, mirrored from the NoC crate so events can
 /// be defined here without a dependency cycle (`aff-noc` depends on this
@@ -340,40 +340,39 @@ impl TraceRecorder {
     /// sequence number; `RouterActive`/`MessageDelivered` use real NoC
     /// cycles. Timestamps are reported in "microseconds" 1:1.
     pub fn to_chrome_json(&self) -> String {
-        const PID_ENGINE: u32 = 1;
-        const PID_BANKS: u32 = 2;
-        const PID_ROUTERS: u32 = 3;
-        const PID_DRAM: u32 = 4;
-
-        let mut out = String::with_capacity(64 * self.ring.len() + 1024);
-        out.push_str("{\n\"traceEvents\": [\n");
+        const ENGINE: u32 = 1;
+        const BANKS: u32 = 2;
+        const ROUTERS: u32 = 3;
+        const DRAM: u32 = 4;
+        const TRAFFIC: [&str; 3] = ["traffic/offload", "traffic/data", "traffic/control"];
 
         // Metadata: name the four component-family "processes".
-        for (pid, name) in [
-            (PID_ENGINE, "engine"),
-            (PID_BANKS, "L3 banks"),
-            (PID_ROUTERS, "NoC routers"),
-            (PID_DRAM, "DRAM controllers"),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{name}\"}}}},"
-            );
-        }
+        let processes = [
+            (ENGINE, "engine"),
+            (BANKS, "L3 banks"),
+            (ROUTERS, "NoC routers"),
+            (DRAM, "DRAM controllers"),
+        ];
+        let mut events: Vec<Value> = processes
+            .into_iter()
+            .map(|(pid, name)| {
+                Value::object([
+                    ("ph", "M".into()),
+                    ("name", "process_name".into()),
+                    ("pid", pid.into()),
+                    ("tid", 0u32.into()),
+                    ("args", Value::object([("name", name.into())])),
+                ])
+            })
+            .collect();
 
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if first {
-                first = false;
-            } else {
-                out.push_str(",\n");
-            }
-        };
         for te in self.events() {
-            let ts = te.seq;
-            sep(&mut out);
-            match te.event {
+            let seq = te.seq;
+            // A bank's counter track names its series after the bank.
+            let resident_key;
+            // One row per event kind: (phase, name, category, process,
+            // thread track, timestamp, duration), then the args.
+            let ((ph, name, cat, pid, tid, ts, dur), args) = match te.event {
                 Event::Traffic {
                     src,
                     dst,
@@ -381,112 +380,69 @@ impl TraceRecorder {
                     class,
                     count,
                 } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"traffic/{}\",\"cat\":\"noc\",\
-                         \"pid\":{PID_ROUTERS},\"tid\":{src},\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"src\":{src},\"dst\":{dst},\"payload_bytes\":{payload_bytes},\
-                         \"count\":{count}}}}}",
-                        class.label()
-                    );
+                    let name = TRAFFIC[class.idx()];
+                    (
+                        ("X", name, "noc", ROUTERS, src, seq, Some(count)),
+                        vec![
+                            ("src", src.into()),
+                            ("dst", dst.into()),
+                            ("payload_bytes", payload_bytes.into()),
+                            ("count", count.into()),
+                        ],
+                    )
                 }
-                Event::BankAccess { bank, count, fetch } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"access\",\"cat\":\"bank\",\
-                         \"pid\":{PID_BANKS},\"tid\":{bank},\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"count\":{count},\"fetch\":{fetch}}}}}"
-                    );
-                }
-                Event::BankAtomic { bank, count, hops } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"atomic\",\"cat\":\"bank\",\
-                         \"pid\":{PID_BANKS},\"tid\":{bank},\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"count\":{count},\"hops\":{hops}}}}}"
-                    );
-                }
+                Event::BankAccess { bank, count, fetch } => (
+                    ("X", "access", "bank", BANKS, bank, seq, Some(count)),
+                    vec![("count", count.into()), ("fetch", fetch.into())],
+                ),
+                Event::BankAtomic { bank, count, hops } => (
+                    ("X", "atomic", "bank", BANKS, bank, seq, Some(count)),
+                    vec![("count", count.into()), ("hops", hops.into())],
+                ),
                 Event::BankResident { bank, bytes } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"name\":\"resident_bytes\",\"cat\":\"bank\",\
-                         \"pid\":{PID_BANKS},\"tid\":{bank},\"ts\":{ts},\
-                         \"args\":{{\"bank {bank}\":{bytes}}}}}"
-                    );
+                    resident_key = format!("bank {bank}");
+                    (
+                        ("C", "resident_bytes", "bank", BANKS, bank, seq, None),
+                        vec![(resident_key.as_str(), bytes.into())],
+                    )
                 }
-                Event::DramAccess { ctrl, lines } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"dram_lines\",\"cat\":\"dram\",\
-                         \"pid\":{PID_DRAM},\"tid\":{ctrl},\"ts\":{ts},\"dur\":{lines},\
-                         \"args\":{{\"lines\":{lines}}}}}"
-                    );
-                }
-                Event::CoreOps { count } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"core_ops\",\"cat\":\"compute\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"count\":{count}}}}}"
-                    );
-                }
-                Event::SeOps { bank, count } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"se_ops\",\"cat\":\"compute\",\
-                         \"pid\":{PID_BANKS},\"tid\":{bank},\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"count\":{count}}}}}"
-                    );
-                }
-                Event::PrivateHits { count } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"private_hits\",\"cat\":\"compute\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"dur\":{count},\
-                         \"args\":{{\"count\":{count}}}}}"
-                    );
-                }
-                Event::ChainCycles { cycles } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"chain\",\"cat\":\"compute\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"dur\":{cycles},\
-                         \"args\":{{\"cycles\":{cycles}}}}}"
-                    );
-                }
-                Event::PhaseBegin => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"B\",\"name\":\"phase\",\"cat\":\"engine\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts}}}"
-                    );
-                }
-                Event::PhaseEnd => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"E\",\"name\":\"phase\",\"cat\":\"engine\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts}}}"
-                    );
-                }
-                Event::TenantSwitch { tenant } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"name\":\"tenant_switch\",\"cat\":\"engine\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"args\":{{\"tenant\":{tenant}}}}}"
-                    );
-                }
+                Event::DramAccess { ctrl, lines } => (
+                    ("X", "dram_lines", "dram", DRAM, ctrl, seq, Some(lines)),
+                    vec![("lines", lines.into())],
+                ),
+                Event::CoreOps { count } => (
+                    ("X", "core_ops", "compute", ENGINE, 0, seq, Some(count)),
+                    vec![("count", count.into())],
+                ),
+                Event::SeOps { bank, count } => (
+                    ("X", "se_ops", "compute", BANKS, bank, seq, Some(count)),
+                    vec![("count", count.into())],
+                ),
+                Event::PrivateHits { count } => (
+                    ("X", "private_hits", "compute", ENGINE, 0, seq, Some(count)),
+                    vec![("count", count.into())],
+                ),
+                Event::ChainCycles { cycles } => (
+                    ("X", "chain", "compute", ENGINE, 0, seq, Some(cycles)),
+                    vec![("cycles", cycles.into())],
+                ),
+                Event::PhaseBegin => (("B", "phase", "engine", ENGINE, 0, seq, None), vec![]),
+                Event::PhaseEnd => (("E", "phase", "engine", ENGINE, 0, seq, None), vec![]),
+                Event::TenantSwitch { tenant } => (
+                    ("i", "tenant_switch", "engine", ENGINE, 0, seq, None),
+                    vec![("tenant", tenant.into())],
+                ),
                 Event::RouterActive {
                     router,
                     cycle,
                     flits,
                 } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"router_active\",\"cat\":\"noc\",\
-                         \"pid\":{PID_ROUTERS},\"tid\":{router},\"ts\":{cycle},\"dur\":1,\
-                         \"args\":{{\"flits\":{flits}}}}}"
-                    );
+                    // Real NoC cycles, one per flit-hop.
+                    let (ts, dur) = (cycle, Some(1));
+                    (
+                        ("X", "router_active", "noc", ROUTERS, router, ts, dur),
+                        vec![("flits", flits.into())],
+                    )
                 }
                 Event::MessageDelivered {
                     src,
@@ -496,30 +452,56 @@ impl TraceRecorder {
                     flits,
                 } => {
                     let dur = arrive.saturating_sub(depart).max(1);
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"message\",\"cat\":\"noc\",\
-                         \"pid\":{PID_ROUTERS},\"tid\":{dst},\"ts\":{depart},\"dur\":{dur},\
-                         \"args\":{{\"src\":{src},\"dst\":{dst},\"flits\":{flits}}}}}"
-                    );
+                    (
+                        ("X", "message", "noc", ROUTERS, dst, depart, Some(dur)),
+                        vec![
+                            ("src", src.into()),
+                            ("dst", dst.into()),
+                            ("flits", flits.into()),
+                        ],
+                    )
                 }
-                Event::ProfileTouch { region, elem, step } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"name\":\"profile_touch\",\"cat\":\"profile\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"args\":{{\"region\":{region},\"elem\":{elem},\"step\":{step}}}}}"
-                    );
-                }
+                Event::ProfileTouch { region, elem, step } => (
+                    ("i", "profile_touch", "profile", ENGINE, 0, seq, None),
+                    vec![
+                        ("region", region.into()),
+                        ("elem", elem.into()),
+                        ("step", step.into()),
+                    ],
+                ),
+            };
+            let mut fields = vec![
+                ("ph", ph.into()),
+                ("name", name.into()),
+                ("cat", cat.into()),
+                ("pid", pid.into()),
+                ("tid", tid.into()),
+                ("ts", ts.into()),
+            ];
+            if let Some(dur) = dur {
+                fields.push(("dur", dur.into()));
             }
+            if ph == "i" {
+                // Instant events are scoped to their thread track.
+                fields.push(("s", "t".into()));
+            }
+            if !args.is_empty() {
+                fields.push(("args", Value::object(args)));
+            }
+            events.push(Value::object(fields));
         }
-        let _ = write!(
-            out,
-            "\n],\n\"displayTimeUnit\": \"ns\",\n\
-             \"otherData\": {{\"dropped_events\": {}, \"total_events\": {}}}\n}}\n",
-            self.dropped, self.seq
-        );
-        out
+        Value::object([
+            ("traceEvents", Value::Array(events)),
+            ("displayTimeUnit", "ns".into()),
+            (
+                "otherData",
+                Value::object([
+                    ("dropped_events", self.dropped.into()),
+                    ("total_events", self.seq.into()),
+                ]),
+            ),
+        ])
+        .render()
     }
 }
 
@@ -648,18 +630,50 @@ mod tests {
             fetch: true,
         });
         t.record(&Event::DramAccess { ctrl: 1, lines: 5 });
-        let json = t.to_chrome_json();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("traffic/data"));
-        assert!(json.contains("\"name\":\"access\""));
-        assert!(json.contains("NoC routers"));
-        assert!(json.contains("L3 banks"));
-        assert!(json.contains("\"dropped_events\": 0"));
-        // Every event object is well-formed enough to balance its braces.
+        t.record(&Event::BankResident {
+            bank: 7,
+            bytes: 4096,
+        });
+        t.record(&Event::PhaseBegin);
+        t.record(&Event::TenantSwitch { tenant: 2 });
+        let doc = crate::json::parse(&t.to_chrome_json()).expect("valid JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("traceEvents array");
+        assert_eq!(events.len(), 4 + 6, "four process names, then every event");
+        let names: Vec<&str> = events[..4]
+            .iter()
+            .map(|e| {
+                assert_eq!(e.get("ph").and_then(Value::as_str), Some("M"));
+                assert_eq!(e.get("name").and_then(Value::as_str), Some("process_name"));
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Value::as_str)
+                    .expect("name")
+            })
+            .collect();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced JSON braces"
+            names,
+            ["engine", "L3 banks", "NoC routers", "DRAM controllers"]
+        );
+        let want = [
+            r#"{ "ph": "X", "name": "traffic/data", "cat": "noc", "pid": 3, "tid": 3, "ts": 0, "dur": 2, "args": { "src": 3, "dst": 7, "payload_bytes": 64, "count": 2 } }"#,
+            r#"{ "ph": "X", "name": "access", "cat": "bank", "pid": 2, "tid": 7, "ts": 1, "dur": 2, "args": { "count": 2, "fetch": true } }"#,
+            r#"{ "ph": "X", "name": "dram_lines", "cat": "dram", "pid": 4, "tid": 1, "ts": 2, "dur": 5, "args": { "lines": 5 } }"#,
+            r#"{ "ph": "C", "name": "resident_bytes", "cat": "bank", "pid": 2, "tid": 7, "ts": 3, "args": { "bank 7": 4096 } }"#,
+            r#"{ "ph": "B", "name": "phase", "cat": "engine", "pid": 1, "tid": 0, "ts": 4 }"#,
+            r#"{ "ph": "i", "name": "tenant_switch", "cat": "engine", "pid": 1, "tid": 0, "ts": 5, "s": "t", "args": { "tenant": 2 } }"#,
+        ];
+        for (got, want) in events[4..].iter().zip(want) {
+            assert_eq!(*got, crate::json::parse(want).expect("valid expectation"));
+        }
+        let other = doc.get("otherData").expect("otherData");
+        assert_eq!(other.get("dropped_events"), Some(&Value::U64(0)));
+        assert_eq!(other.get("total_events"), Some(&Value::U64(6)));
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Value::as_str),
+            Some("ns")
         );
     }
 

@@ -18,13 +18,13 @@ use affinity_alloc_repro::noc::traffic::Packet;
 use affinity_alloc_repro::sim::error::RunBudget;
 use affinity_alloc_repro::sim::rng::SimRng;
 
-/// Budget-checked replacement for the deprecated `DesNoc::replay`.
+/// Replay under an unlimited budget (which cannot fail).
 fn replay(des: &mut DesNoc, pkts: &[Packet]) -> DesReport {
     des.try_replay(pkts, &RunBudget::unlimited())
         .expect("unlimited budget cannot fail")
 }
 
-/// Budget-checked replacement for the deprecated `CycleNoc::simulate`.
+/// Simulate under a cycle ceiling the test traffic always drains within.
 fn simulate(noc: &CycleNoc, pkts: &[Packet], max_cycles: u64) -> CycleReport {
     noc.try_simulate(pkts, &RunBudget::unlimited().with_max_cycles(max_cycles))
         .expect("generous cycle ceiling")
