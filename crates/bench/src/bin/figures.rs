@@ -39,7 +39,7 @@
 use aff_bench::figures::{plan_figure, traced_fig13_cell, GeometrySpec, HarnessOpts, ALL_FIGURES};
 use aff_bench::journal::fnv1a;
 use aff_bench::report::AggregateRow;
-use aff_bench::sweep::{run_plans_opts, RunOpts};
+use aff_bench::sweep::{run_plans_opts, RunOpts, DEFAULT_CHAOS_INTENSITY};
 
 fn usage() {
     eprintln!(
@@ -72,11 +72,24 @@ fn usage() {
     eprintln!("exit codes: 0 ok, 2 usage, 3 cell failures, 4 budget/timeout/stall failures");
 }
 
+/// The stderr warning for `--jobs` above the host's available parallelism:
+/// extra workers only oversubscribe the cores and inflate per-cell wall
+/// times, while the figures stay byte-identical.
+fn oversubscription_warning(jobs: usize, cores: usize) -> Option<String> {
+    (jobs > cores).then(|| {
+        format!(
+            "warning: --jobs {jobs} exceeds the {cores} available core(s); \
+             per-cell wall times will include oversubscription"
+        )
+    })
+}
+
 fn main() {
     let mut opts = HarnessOpts::default();
     let mut ids: Vec<String> = Vec::new();
     let mut json = false;
-    let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut jobs: usize = cores;
     let mut sweep_json = Some("BENCH_sweep.json".to_string());
     let mut journal = Some("BENCH_sweep.journal".to_string());
     let mut resume = false;
@@ -87,7 +100,7 @@ fn main() {
     let mut metrics = false;
     let mut trace_path: Option<String> = None;
     let mut chaos: Option<u64> = None;
-    let mut chaos_intensity: u32 = 0;
+    let mut chaos_intensity: u32 = DEFAULT_CHAOS_INTENSITY;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -256,6 +269,9 @@ fn main() {
     memo_bytes.extend_from_slice(&opts.tenants.to_le_bytes());
     let memo_config = fnv1a(&memo_bytes);
 
+    if let Some(warning) = oversubscription_warning(jobs, cores) {
+        eprintln!("{warning}");
+    }
     let start = std::time::Instant::now();
     let plans: Vec<_> = ids
         .iter()
@@ -338,5 +354,19 @@ fn main() {
         // Cells fail soft (recorded per cell, merged figures annotated), but
         // the process exit code still reports that something broke.
         std::process::exit(3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::oversubscription_warning;
+
+    #[test]
+    fn warns_only_when_jobs_exceed_the_cores() {
+        assert_eq!(oversubscription_warning(1, 1), None);
+        assert_eq!(oversubscription_warning(2, 4), None);
+        assert_eq!(oversubscription_warning(4, 4), None);
+        let w = oversubscription_warning(5, 4).expect("oversubscribed");
+        assert!(w.starts_with("warning: --jobs 5 exceeds the 4 available core(s)"), "{w}");
     }
 }

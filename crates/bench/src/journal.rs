@@ -1,36 +1,48 @@
-//! Crash-safe sweep checkpoint journal (`BENCH_sweep.journal`).
+//! The sweep's one durable record log, and the resume journal built on it.
 //!
-//! Every completed [`CellOutcome`](crate::sweep::CellOutcome) is appended as
-//! one self-delimiting record — `[u32 length][u64 FNV-1a checksum][payload]`
-//! — and fsync'd, so a sweep killed at *any* instant (including mid-write)
-//! leaves a journal whose intact prefix is fully trusted and whose torn tail
-//! is detected and discarded. `figures --resume` replays that prefix, skips
-//! the cells it covers, and re-runs only missing or failed cells; because a
-//! cell's bytes depend only on `(seed, figure, cell index)` — never on
-//! scheduling — the merged output is byte-identical to an uninterrupted run.
+//! A record log is an append-only file: a 24-byte header — magic, **code
+//! salt**, scope hash — followed by self-delimiting records
+//! `[u32 length][u64 FNV-1a checksum][payload]`, each fsync'd on append. The
+//! payload is one cell record: the cell's content key (see [`crate::memo`])
+//! and its [`JournalEntry`]. A sweep killed at *any* instant (including
+//! mid-write) leaves a log whose intact prefix is fully trusted and whose
+//! torn tail is detected and cut off.
+//!
+//! Two indexes read the same log type:
+//!
+//! * the **resume journal** (`BENCH_sweep.journal`, this module) indexes
+//!   records by `(figure, cell index)`; its scope is the experiment's
+//!   `(seed, context)`. `figures --resume` replays the intact prefix, skips
+//!   the cells it covers, and re-runs only missing or failed cells; because
+//!   a cell's bytes depend only on `(seed, figure, cell index)` — never on
+//!   scheduling — the merged output is byte-identical to an uninterrupted
+//!   run;
+//! * the **memo store** ([`crate::memo`]) indexes records by content key
+//!   and persists across runs and experiments.
+//!
+//! The code salt ([`code_salt`]) is derived by `build.rs` from every source
+//! and manifest in the workspace, so any code change makes every older log
+//! stale: a header whose magic, salt or scope differs is refused (the log
+//! starts over empty), and results from other code or another experiment
+//! never reach the figures.
 //!
 //! The payload is a hand-rolled little-endian encoding (the build
 //! environment has no crates.io access for a real serializer): strings are
 //! length-prefixed UTF-8 and `f64`s travel as `to_bits`, so values —
 //! including NaNs from failed baseline cells — round-trip bit-exactly.
 //!
-//! The 24-byte header (`magic, seed, context hash`) pins the journal to one
-//! experiment: resuming with a different seed, figure set or scale refuses
-//! the stale journal (everything re-runs) instead of silently merging
-//! incompatible results.
-//!
-//! Corruption policy, enforced by tests here and in
+//! Corruption policy, enforced by tests here, in `memo.rs` and in
 //! `tests/run_to_completion.rs`:
 //!
 //! * truncated record (torn write) → prefix kept, tail dropped;
 //! * bit flip anywhere in a record → checksum mismatch → that record and
 //!   everything after it dropped (a flipped *length* makes record framing
 //!   untrustworthy, so scanning past a bad record is not attempted);
-//! * duplicate `(figure, cell)` entries (crash between write and the
-//!   in-memory mark) → the **last** intact one wins.
+//! * duplicate index keys (crash between write and the in-memory mark) →
+//!   the **last** intact record wins.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::report::Row;
@@ -43,19 +55,17 @@ use aff_workloads::graphs::{Direction, IterStat};
 use aff_workloads::suite::SuiteRun;
 
 /// File magic: identifies the format *and* its version. Bump the trailing
-/// digit on any payload-layout change so old journals are refused, not
-/// misparsed. (v2: fault-epoch counters + the transition log in `Metrics`;
-/// v3: fragmentation ratio + the per-tenant usage records; v4: hint-source
-/// tag + inferred-hint count from the affinity-inference loop.)
-const MAGIC: &[u8; 8] = b"AFFJRNL4";
+/// digit on any header or payload-layout change so old logs are refused,
+/// not misparsed. (v5: the code salt joined the header and every record
+/// carries its content key; journal and memo share the format.)
+const MAGIC: &[u8; 8] = b"AFFJRNL5";
 
-/// Header length: magic + seed + context hash.
-const HEADER_LEN: u64 = 24;
+/// Header length: magic + code salt + scope hash.
+const HEADER_LEN: usize = 24;
 
 /// Upper bound on one record's payload — far above any real cell outcome,
 /// low enough that a corrupt length prefix cannot trigger a huge allocation.
-/// Shared with the [`crate::memo`] store, which frames records identically.
-pub(crate) const MAX_RECORD_LEN: u32 = 64 << 20;
+const MAX_RECORD_LEN: u32 = 64 << 20;
 
 /// FNV-1a over `bytes` (the record checksum; also used for context hashes).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -66,7 +76,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One journaled cell outcome.
+/// The code salt of this build: FNV-1a over every `*.rs` and `Cargo.toml`
+/// under `crates/` and `vendor/` plus the root `Cargo.toml` and
+/// `Cargo.lock`, computed by `build.rs`. Stamped into every log header and
+/// folded into every memo key, so editing any source invalidates both.
+pub fn code_salt() -> u64 {
+    u64::from_str_radix(env!("AFF_CODE_SALT"), 16).unwrap_or_default()
+}
+
+/// Scope of a resume journal: the experiment's seed and context hash
+/// (figure set, scale, geometry, chaos parameters).
+pub fn journal_scope(seed: u64, context: u64) -> u64 {
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&seed.to_le_bytes());
+    bytes[8..].copy_from_slice(&context.to_le_bytes());
+    fnv1a(&bytes)
+}
+
+/// One cell record: what a cell produced, as the executor, the journal, the
+/// memo store, the merge and the report all see it.
 #[derive(Debug, Clone)]
 pub struct JournalEntry {
     /// Figure the cell belongs to.
@@ -83,13 +111,13 @@ pub struct JournalEntry {
     pub result: Result<CellData, String>,
 }
 
-/// Why a journal could not be replayed.
+/// Why a log could not be replayed.
 #[derive(Debug)]
 pub enum JournalError {
     /// The file does not exist (a fresh run, not an error for `--resume`).
     Missing,
-    /// The header does not match this experiment (different magic/version,
-    /// seed, or figure-set context). Resuming must re-run everything.
+    /// The header does not match (different format version, code salt, or
+    /// scope). Resuming must re-run everything.
     HeaderMismatch,
     /// An I/O error other than not-found.
     Io(std::io::Error),
@@ -99,9 +127,10 @@ impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Missing => write!(f, "journal file does not exist"),
-            JournalError::HeaderMismatch => {
-                write!(f, "journal belongs to a different experiment (seed/figures/scale)")
-            }
+            JournalError::HeaderMismatch => write!(
+                f,
+                "journal belongs to a different experiment (seed/figures/scale) or code version"
+            ),
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
         }
     }
@@ -109,57 +138,104 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Result of replaying a journal's intact prefix.
+/// The intact prefix of a record log, in file order.
+#[derive(Debug, Default)]
+pub struct Replayed {
+    /// Intact records with their content keys.
+    pub records: Vec<(u64, JournalEntry)>,
+    /// Whether a torn or corrupt tail was discarded.
+    pub dropped_tail: bool,
+    /// Whether a file was there but written by other code or for another
+    /// scope, and was started over.
+    pub stale: bool,
+}
+
+/// The journal index over a replayed log.
 #[derive(Debug)]
 pub struct JournalReplay {
     /// Last intact entry per `(figure, cell_idx)` — duplicates resolved.
     pub entries: BTreeMap<(String, u64), JournalEntry>,
-    /// Byte length of the trusted prefix (header + intact records). Resume
-    /// truncates the file here before appending.
-    pub valid_len: u64,
     /// Whether a torn or corrupt tail was discarded.
     pub dropped_tail: bool,
     /// Intact records read (before duplicate resolution).
     pub records_read: usize,
 }
 
-/// Append-only journal writer. One writer per sweep; workers serialize on a
-/// mutex around it (appends are rare next to cell compute time).
+impl From<Replayed> for JournalReplay {
+    fn from(r: Replayed) -> Self {
+        JournalReplay {
+            records_read: r.records.len(),
+            dropped_tail: r.dropped_tail,
+            entries: r
+                .records
+                .into_iter()
+                .map(|(_, e)| ((e.figure.clone(), e.cell_idx), e))
+                .collect(),
+        }
+    }
+}
+
+/// An append handle on one record log. One per index per sweep; workers
+/// serialize on a mutex around it (appends are rare next to cell compute).
 #[derive(Debug)]
-pub struct JournalWriter {
+pub struct RecordLog {
     file: std::fs::File,
 }
 
-impl JournalWriter {
-    /// Start a fresh journal at `path` (truncating any previous file) with
-    /// the experiment's `(seed, context)` stamped in the header.
-    pub fn create(path: &Path, seed: u64, context: u64) -> std::io::Result<Self> {
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&seed.to_le_bytes())?;
-        file.write_all(&context.to_le_bytes())?;
-        file.sync_data()?;
-        Ok(Self { file })
+impl RecordLog {
+    /// Open the log at `path` for appending under `(salt, scope)`.
+    ///
+    /// With `keep`, the intact prefix of a log written under the same
+    /// header is replayed and a torn tail cut off. Otherwise — or when the
+    /// file is missing, or stale (another magic, salt or scope) — the log
+    /// starts over empty under a fresh header. An I/O error is returned
+    /// with the operation it broke (`"read"`, `"resume"`, `"create"`).
+    pub fn open(
+        path: &Path,
+        salt: u64,
+        scope: u64,
+        keep: bool,
+    ) -> Result<(RecordLog, Replayed), (&'static str, std::io::Error)> {
+        let mut replayed = Replayed::default();
+        let mut valid_len = None;
+        if keep {
+            match read_log(path, salt, scope) {
+                Ok((r, len)) => (replayed, valid_len) = (r, Some(len)),
+                Err(JournalError::Missing) => {}
+                Err(JournalError::HeaderMismatch) => replayed.stale = true,
+                Err(JournalError::Io(e)) => return Err(("read", e)),
+            }
+        }
+        let mut options = std::fs::OpenOptions::new();
+        options.write(true);
+        let file = match valid_len {
+            Some(len) => options
+                .open(path)
+                .and_then(|mut f| {
+                    f.set_len(len)?;
+                    f.seek(SeekFrom::End(0))?;
+                    Ok(f)
+                })
+                .map_err(|e| ("resume", e))?,
+            None => options
+                .create(true)
+                .truncate(true)
+                .open(path)
+                .and_then(|mut f| {
+                    f.write_all(MAGIC)?;
+                    f.write_all(&salt.to_le_bytes())?;
+                    f.write_all(&scope.to_le_bytes())?;
+                    f.sync_data()?;
+                    Ok(f)
+                })
+                .map_err(|e| ("create", e))?,
+        };
+        Ok((RecordLog { file }, replayed))
     }
 
-    /// Reopen an existing journal for appending, first truncating it to
-    /// `valid_len` (from [`read_journal`]) so a torn tail can never precede
-    /// fresh records.
-    pub fn resume(path: &Path, valid_len: u64) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Self { file })
-    }
-
-    /// Append one entry and fsync it durable.
-    pub fn append(&mut self, entry: &JournalEntry) -> std::io::Result<()> {
-        let payload = encode_entry(entry);
+    /// Append one cell record under its content key and fsync it durable.
+    pub fn append(&mut self, key: u64, entry: &JournalEntry) -> std::io::Result<()> {
+        let payload = encode_record(key, entry);
         let mut rec = Vec::with_capacity(payload.len() + 12);
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
@@ -169,100 +245,83 @@ impl JournalWriter {
     }
 }
 
-/// Harvest per-cell wall times from whatever intact journal sits at `path`,
-/// keyed by `(figure, cell_idx)`. Unlike [`read_journal`] this deliberately
-/// ignores the seed/context header (only the magic must match): wall hints
-/// seed the work-stealing scheduler's longest-cell-first order and can never
-/// change output bytes, so a stale journal is still a fine predictor of
-/// which cells are big. Any read or decode problem degrades to an empty map.
-pub fn read_wall_hints(path: &Path) -> BTreeMap<(String, u64), u64> {
-    let mut buf = Vec::new();
-    let mut hints = BTreeMap::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut buf).is_err() {
-                return hints;
-            }
-        }
-        Err(_) => return hints,
-    }
-    if buf.len() < HEADER_LEN as usize || &buf[..8] != MAGIC {
-        return hints;
-    }
-    let mut pos = HEADER_LEN as usize;
-    while let Some(head) = buf.get(pos..pos + 12) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let want_sum = u64::from_le_bytes([
-            head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-        ]);
-        if len > MAX_RECORD_LEN as usize {
-            break;
-        }
-        let Some(payload) = buf.get(pos + 12..pos + 12 + len) else {
-            break;
+/// The one reader of framed records: decode records from `buf` past the
+/// header until the first torn, corrupt or undecodable one, and return them
+/// with the byte length of the intact prefix.
+fn scan(buf: &[u8]) -> (Vec<(u64, JournalEntry)>, usize) {
+    let mut records = Vec::new();
+    let mut pos = HEADER_LEN;
+    loop {
+        let mut d = Dec { buf, pos };
+        let Some((len, want_sum)) = d.u32().zip(d.u64()) else {
+            break; // end of file, or a torn frame head
         };
-        if fnv1a(payload) != want_sum {
-            break;
-        }
-        let Some(entry) = decode_entry(payload) else {
-            break;
-        };
-        hints.insert((entry.figure, entry.cell_idx), entry.wall_ns);
-        pos += 12 + len;
-    }
-    hints
-}
-
-/// Replay the journal at `path`, trusting exactly its intact prefix.
-///
-/// `seed` and `context` must match the header or the journal is refused
-/// with [`JournalError::HeaderMismatch`] — a stale journal never poisons a
-/// new experiment's output.
-pub fn read_journal(path: &Path, seed: u64, context: u64) -> Result<JournalReplay, JournalError> {
-    let mut buf = Vec::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut buf).map_err(JournalError::Io)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(JournalError::Missing),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if buf.len() < HEADER_LEN as usize
-        || &buf[..8] != MAGIC
-        || buf[8..16] != seed.to_le_bytes()
-        || buf[16..24] != context.to_le_bytes()
-    {
-        return Err(JournalError::HeaderMismatch);
-    }
-
-    let mut entries: BTreeMap<(String, u64), JournalEntry> = BTreeMap::new();
-    let mut pos = HEADER_LEN as usize;
-    let mut records_read = 0usize;
-    while let Some(head) = buf.get(pos..pos + 12) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let want_sum = u64::from_le_bytes([
-            head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-        ]);
-        if len > MAX_RECORD_LEN as usize {
+        if len > MAX_RECORD_LEN {
             break; // corrupt length prefix
         }
-        let Some(payload) = buf.get(pos + 12..pos + 12 + len) else {
+        let Some(payload) = d.take(len as usize) else {
             break; // torn tail
         };
         if fnv1a(payload) != want_sum {
             break; // bit flip (in payload, or in the length itself)
         }
-        let Some(entry) = decode_entry(payload) else {
+        let Some(record) = decode_record(payload) else {
             break; // checksum ok but undecodable: format drift, stop trusting
         };
-        entries.insert((entry.figure.clone(), entry.cell_idx), entry);
-        records_read += 1;
-        pos += 12 + len;
+        records.push(record);
+        pos = d.pos;
     }
-    Ok(JournalReplay {
-        entries,
-        valid_len: pos as u64,
-        dropped_tail: pos < buf.len(),
-        records_read,
-    })
+    (records, pos)
+}
+
+/// Read the log at `path`, trusting exactly its intact prefix; the header
+/// must carry `salt` and `scope`. Also returns the prefix's byte length.
+fn read_log(path: &Path, salt: u64, scope: u64) -> Result<(Replayed, u64), JournalError> {
+    let buf = match std::fs::read(path) {
+        Ok(buf) if buf.is_empty() => return Err(JournalError::Missing),
+        Ok(buf) => buf,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(JournalError::Missing),
+        Err(e) => return Err(JournalError::Io(e)),
+    };
+    if buf.len() < HEADER_LEN
+        || &buf[..8] != MAGIC
+        || buf[8..16] != salt.to_le_bytes()
+        || buf[16..24] != scope.to_le_bytes()
+    {
+        return Err(JournalError::HeaderMismatch);
+    }
+    let (records, valid_len) = scan(&buf);
+    let replayed = Replayed {
+        records,
+        dropped_tail: valid_len < buf.len(),
+        stale: false,
+    };
+    Ok((replayed, valid_len as u64))
+}
+
+/// Replay the journal at `path` written by this build for the experiment
+/// `(seed, context)`. A journal from another experiment or another code
+/// version is refused with [`JournalError::HeaderMismatch`] — a stale
+/// journal never poisons a new experiment's output.
+pub fn read_journal(path: &Path, seed: u64, context: u64) -> Result<JournalReplay, JournalError> {
+    read_log(path, code_salt(), journal_scope(seed, context)).map(|(r, _)| r.into())
+}
+
+/// The lenient scan: per-cell wall times from whatever intact log sits at
+/// `path`, keyed by `(figure, cell_idx)`. Only the magic must match — salt
+/// and scope are ignored on purpose: wall hints seed the work-stealing
+/// scheduler's longest-cell-first order and can never change output bytes,
+/// so a stale journal is still a fine predictor of which cells are big. Any
+/// read or decode problem degrades to an empty map.
+pub fn read_wall_hints(path: &Path) -> BTreeMap<(String, u64), u64> {
+    match std::fs::read(path) {
+        Ok(buf) if buf.starts_with(MAGIC) => scan(&buf)
+            .0
+            .into_iter()
+            .map(|(_, e)| ((e.figure, e.cell_idx), e.wall_ns))
+            .collect(),
+        _ => BTreeMap::new(),
+    }
 }
 
 // ---------- payload codec ----------
@@ -452,8 +511,10 @@ fn put_cell_data(out: &mut Vec<u8>, data: &CellData) {
     }
 }
 
-pub(crate) fn encode_entry(e: &JournalEntry) -> Vec<u8> {
+/// One record payload: the content key, then the entry.
+fn encode_record(key: u64, e: &JournalEntry) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
+    put_u64(&mut out, key);
     put_str(&mut out, &e.figure);
     put_u64(&mut out, e.cell_idx);
     put_str(&mut out, &e.label);
@@ -681,8 +742,9 @@ impl<'a> Dec<'a> {
     }
 }
 
-pub(crate) fn decode_entry(payload: &[u8]) -> Option<JournalEntry> {
+fn decode_record(payload: &[u8]) -> Option<(u64, JournalEntry)> {
     let mut d = Dec { buf: payload, pos: 0 };
+    let key = d.u64()?;
     let figure = d.string()?;
     let cell_idx = d.u64()?;
     let label = d.string()?;
@@ -699,14 +761,15 @@ pub(crate) fn decode_entry(payload: &[u8]) -> Option<JournalEntry> {
     if d.pos != payload.len() {
         return None;
     }
-    Some(JournalEntry {
+    let entry = JournalEntry {
         figure,
         cell_idx,
         label,
         attempts,
         wall_ns,
         result,
-    })
+    };
+    Some((key, entry))
 }
 
 #[cfg(test)]
@@ -801,6 +864,14 @@ mod tests {
         dir.join(format!("{name}-{}.journal", std::process::id()))
     }
 
+    /// A fresh journal for the experiment `(seed, context)` under this
+    /// build's salt.
+    fn create(path: &Path, seed: u64, context: u64) -> RecordLog {
+        RecordLog::open(path, code_salt(), journal_scope(seed, context), false)
+            .expect("create")
+            .0
+    }
+
     #[test]
     fn roundtrip_every_cell_shape_bit_exact() {
         let path = tmp("roundtrip");
@@ -830,9 +901,9 @@ mod tests {
             ),
             entry("fig6", 2, Err("cell panicked: boom".into())),
         ];
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
+        let mut w = create(&path, 7, 99);
         for e in &entries {
-            w.append(e).expect("append");
+            w.append(0, e).expect("append");
         }
         drop(w);
         let replay = read_journal(&path, 7, 99).expect("read");
@@ -863,8 +934,8 @@ mod tests {
     #[test]
     fn wrong_seed_or_context_is_refused() {
         let path = tmp("header");
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
-        w.append(&entry("fig4", 0, Err("x".into()))).expect("append");
+        let mut w = create(&path, 7, 99);
+        w.append(0, &entry("fig4", 0, Err("x".into()))).expect("append");
         drop(w);
         assert!(matches!(
             read_journal(&path, 8, 99),
@@ -872,6 +943,14 @@ mod tests {
         ));
         assert!(matches!(
             read_journal(&path, 7, 100),
+            Err(JournalError::HeaderMismatch)
+        ));
+        // The same experiment written by other code is refused too.
+        let (_, replayed) =
+            RecordLog::open(&path, code_salt() ^ 1, journal_scope(7, 99), false).expect("create");
+        assert!(!replayed.stale, "a log opened without keep reads nothing");
+        assert!(matches!(
+            read_journal(&path, 7, 99),
             Err(JournalError::HeaderMismatch)
         ));
         assert!(matches!(
@@ -884,9 +963,9 @@ mod tests {
     #[test]
     fn truncated_tail_keeps_the_intact_prefix() {
         let path = tmp("trunc");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("a".into()))).expect("append");
-        w.append(&entry("fig4", 1, Err("b".into()))).expect("append");
+        let mut w = create(&path, 1, 2);
+        w.append(0, &entry("fig4", 0, Err("a".into()))).expect("append");
+        w.append(0, &entry("fig4", 1, Err("b".into()))).expect("append");
         drop(w);
         let full = std::fs::read(&path).expect("read file");
         // Chop mid-way through the second record (torn write).
@@ -897,8 +976,11 @@ mod tests {
         assert!(replay.entries.contains_key(&("fig4".to_string(), 0)));
         assert!(!replay.entries.contains_key(&("fig4".to_string(), 1)));
         // Resume truncates to the trusted prefix and appends cleanly.
-        let mut w = JournalWriter::resume(&path, replay.valid_len).expect("resume");
-        w.append(&entry("fig4", 1, Err("b2".into()))).expect("append");
+        let (mut w, replayed) =
+            RecordLog::open(&path, code_salt(), journal_scope(1, 2), true).expect("resume");
+        assert_eq!(replayed.records.len(), 1);
+        assert!(replayed.dropped_tail && !replayed.stale);
+        w.append(0, &entry("fig4", 1, Err("b2".into()))).expect("append");
         drop(w);
         let replay = read_journal(&path, 1, 2).expect("reread");
         assert_eq!(replay.records_read, 2);
@@ -917,14 +999,14 @@ mod tests {
     #[test]
     fn bit_flip_invalidates_the_record_and_its_suffix() {
         let path = tmp("bitflip");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("a".into()))).expect("append");
-        w.append(&entry("fig4", 1, Err("b".into()))).expect("append");
-        w.append(&entry("fig4", 2, Err("c".into()))).expect("append");
+        let mut w = create(&path, 1, 2);
+        w.append(0, &entry("fig4", 0, Err("a".into()))).expect("append");
+        w.append(0, &entry("fig4", 1, Err("b".into()))).expect("append");
+        w.append(0, &entry("fig4", 2, Err("c".into()))).expect("append");
         drop(w);
         let mut bytes = std::fs::read(&path).expect("read file");
         // Walk the framing to the second record and flip a payload bit.
-        let first = HEADER_LEN as usize;
+        let first = HEADER_LEN;
         let len1 = u32::from_le_bytes([bytes[first], bytes[first + 1], bytes[first + 2], bytes[first + 3]]) as usize;
         let second_payload = first + 12 + len1 + 12;
         bytes[second_payload + 2] ^= 0x10;
@@ -941,11 +1023,11 @@ mod tests {
     #[test]
     fn wall_hints_ignore_the_header_but_stop_at_corruption() {
         let path = tmp("hints");
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
+        let mut w = create(&path, 7, 99);
         for (i, wall) in [(0u64, 11u64), (1, 22), (2, 33)] {
             let mut e = entry("fig4", i, Err("x".into()));
             e.wall_ns = wall;
-            w.append(&e).expect("append");
+            w.append(0, &e).expect("append");
         }
         drop(w);
         // Wrong seed/context would refuse a resume — hints still read.
@@ -958,7 +1040,7 @@ mod tests {
         assert_eq!(hints[&("fig4".to_string(), 1)], 22);
         // A flipped bit in the second record drops it and its suffix.
         let mut bytes = std::fs::read(&path).expect("read file");
-        let first = HEADER_LEN as usize;
+        let first = HEADER_LEN;
         let len1 = u32::from_le_bytes([
             bytes[first],
             bytes[first + 1],
@@ -979,9 +1061,9 @@ mod tests {
     #[test]
     fn duplicate_entries_resolve_to_the_last_intact_one() {
         let path = tmp("dup");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("first".into()))).expect("append");
-        w.append(&entry("fig4", 0, Err("second".into()))).expect("append");
+        let mut w = create(&path, 1, 2);
+        w.append(0, &entry("fig4", 0, Err("first".into()))).expect("append");
+        w.append(0, &entry("fig4", 0, Err("second".into()))).expect("append");
         drop(w);
         let replay = read_journal(&path, 1, 2).expect("read");
         assert_eq!(replay.records_read, 2);

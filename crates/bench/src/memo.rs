@@ -2,14 +2,14 @@
 //!
 //! The resume journal replays cells of **one interrupted experiment** — its
 //! header pins seed, figure set, and scale, and a fresh run truncates it.
-//! The memo store is the complementary cache: it persists completed
+//! The memo store is the complementary index over the same
+//! [`RecordLog`] format: it persists completed
 //! [`SweepCell`](crate::sweep::SweepCell) outcomes **across** runs and
 //! experiments, keyed by a content hash over everything the cell's bits
 //! depend on:
 //!
-//! * the **code-version salt** ([`code_salt`]) — crate version plus a
-//!   manually bumped epoch; any change to what cells compute must bump
-//!   [`MEMO_EPOCH`], which invalidates every stored cell at once;
+//! * the **code salt** ([`code_salt`](crate::journal::code_salt)), derived from the workspace sources
+//!   at build time — any code change invalidates every stored cell at once;
 //! * the **memo config hash** — the `figures` binary hashes the knobs that
 //!   reshape cell inputs (scale, geometry, tenant count) but *not* the
 //!   figure-id list, so `figures fig13 --memo m` reuses cells a
@@ -22,50 +22,27 @@
 //! cell index)`), so replaying a key hit is byte-identical to re-running
 //! the cell.
 //!
-//! On-disk format: a 16-byte header (`AFFMEMO1` magic + the salt) followed
-//! by journal-framed records — `[u32 len][u64 FNV-1a][payload]` with payload
-//! `[u64 key][encoded JournalEntry]`, fsync'd per append. Corruption policy
-//! matches the journal: the intact prefix is trusted, a torn or flipped tail
-//! is truncated away on open. A header whose salt differs from the current
-//! build's — a **stale** store — is discarded wholesale and recreated empty;
-//! results from old code never leak into new figures.
-//!
-//! Every failure mode degrades soft: an unreadable, unwritable, or corrupt
-//! store costs cache hits, never figures.
+//! The log handles framing, fsync and corruption (the intact prefix is
+//! trusted, a torn or flipped tail truncated away on open). A store whose
+//! header salt differs from the current build's — a **stale** store — is
+//! discarded wholesale and recreated empty; results from old code never
+//! leak into new figures. Every failure mode degrades soft: an unreadable,
+//! unwritable, or corrupt store costs cache hits, never figures.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::journal::{decode_entry, encode_entry, fnv1a, JournalEntry, MAX_RECORD_LEN};
+use crate::journal::{fnv1a, JournalEntry, RecordLog};
 
-/// File magic: format + version. Bump the digit on layout changes so old
-/// stores are refused (treated as stale), not misparsed.
-const MAGIC: &[u8; 8] = b"AFFMEMO1";
-
-/// Header length: magic + code-version salt.
-const HEADER_LEN: usize = 16;
-
-/// Manual invalidation epoch. Bump this whenever cell semantics change in a
-/// way the crate version does not capture (e.g. a simulator fix on an
-/// unreleased tree): the salt changes, and every memoized cell is discarded.
-pub const MEMO_EPOCH: u32 = 2;
-
-/// The code-version salt folded into every memo key *and* stamped in the
-/// store header: FNV-1a over the bench crate version and [`MEMO_EPOCH`].
-/// Either changing invalidates the whole store.
-pub fn code_salt() -> u64 {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
-    bytes.extend_from_slice(&MEMO_EPOCH.to_le_bytes());
-    fnv1a(&bytes)
-}
+/// Header scope of every memo store: the memo index spans experiments, so
+/// its scope is a fixed tag that no journal scope is expected to equal.
+const MEMO_SCOPE: u64 = u64::from_le_bytes(*b"AFFMEMO\0");
 
 /// Inputs a memo key is derived from — everything a cell's output bytes can
 /// depend on, and nothing scheduling-dependent.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyParts<'a> {
-    /// [`code_salt`] of the running build.
+    /// [`code_salt`](crate::journal::code_salt) of the running build.
     pub salt: u64,
     /// The harness's config hash (scale/geometry/tenants — not figure ids).
     pub config: u64,
@@ -73,7 +50,8 @@ pub struct KeyParts<'a> {
     pub seed: u64,
     /// Chaos seed, when the run injects fault timelines.
     pub chaos: Option<u64>,
-    /// Fault-event budget per chaos timeline (only meaningful with chaos).
+    /// Fault events per chaos timeline, as sampled (only meaningful with
+    /// chaos).
     pub chaos_intensity: u32,
     /// Figure id (`"fig13"`, …).
     pub figure: &'a str,
@@ -106,12 +84,12 @@ pub fn memo_key(p: &KeyParts<'_>) -> u64 {
     fnv1a(&bytes)
 }
 
-/// The memo store: in-memory key → entry map loaded from the intact prefix,
-/// plus an append handle for this run's new cells.
+/// The memo store: the content-key index over a [`RecordLog`]'s intact
+/// prefix, plus the log's append handle for this run's new cells.
 #[derive(Debug)]
 pub struct MemoStore {
     entries: BTreeMap<u64, JournalEntry>,
-    file: Option<std::fs::File>,
+    log: Option<RecordLog>,
     /// Whether an existing store was discarded for a salt/magic mismatch.
     pub invalidated: bool,
     /// First I/O error that disabled the store (reads miss, writes no-op).
@@ -126,86 +104,20 @@ impl MemoStore {
     /// * torn/corrupt tail → intact prefix kept, tail truncated;
     /// * any I/O error → disabled store ([`MemoStore::error`] set).
     pub fn open(path: &Path, salt: u64) -> MemoStore {
-        let mut store = MemoStore {
-            entries: BTreeMap::new(),
-            file: None,
-            invalidated: false,
-            error: None,
-        };
-        let mut buf = Vec::new();
-        match std::fs::File::open(path) {
-            Ok(mut f) => {
-                if let Err(e) = f.read_to_end(&mut buf) {
-                    store.error = Some(format!("memo read failed: {e}"));
-                    return store;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                store.error = Some(format!("memo open failed: {e}"));
-                return store;
-            }
+        match RecordLog::open(path, salt, MEMO_SCOPE, true) {
+            Ok((log, replayed)) => MemoStore {
+                entries: replayed.records.into_iter().collect(),
+                log: Some(log),
+                invalidated: replayed.stale,
+                error: None,
+            },
+            Err((op, e)) => MemoStore {
+                entries: BTreeMap::new(),
+                log: None,
+                invalidated: false,
+                error: Some(format!("memo {op} failed: {e}")),
+            },
         }
-        let header_ok = buf.len() >= HEADER_LEN
-            && &buf[..8] == MAGIC
-            && buf[8..16] == salt.to_le_bytes();
-        if !buf.is_empty() && !header_ok {
-            store.invalidated = true;
-        }
-        let mut valid_len = HEADER_LEN;
-        if header_ok {
-            let mut pos = HEADER_LEN;
-            while let Some(head) = buf.get(pos..pos + 12) {
-                let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-                let want_sum = u64::from_le_bytes([
-                    head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-                ]);
-                if len > MAX_RECORD_LEN as usize || len < 8 {
-                    break;
-                }
-                let Some(payload) = buf.get(pos + 12..pos + 12 + len) else {
-                    break;
-                };
-                if fnv1a(payload) != want_sum {
-                    break;
-                }
-                let key = u64::from_le_bytes([
-                    payload[0], payload[1], payload[2], payload[3], payload[4], payload[5],
-                    payload[6], payload[7],
-                ]);
-                let Some(entry) = decode_entry(&payload[8..]) else {
-                    break;
-                };
-                store.entries.insert(key, entry);
-                pos += 12 + len;
-            }
-            valid_len = pos;
-        }
-        // (Re)open for appending: a fresh or stale store gets a new header;
-        // an intact one is truncated to its trusted prefix.
-        let opened = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(!header_ok)
-            .open(path);
-        match opened {
-            Ok(mut f) => {
-                let init = if header_ok {
-                    f.set_len(valid_len as u64)
-                        .and_then(|()| f.seek(SeekFrom::End(0)).map(|_| ()))
-                } else {
-                    f.write_all(MAGIC)
-                        .and_then(|()| f.write_all(&salt.to_le_bytes()))
-                        .and_then(|()| f.sync_data())
-                };
-                match init {
-                    Ok(()) => store.file = Some(f),
-                    Err(e) => store.error = Some(format!("memo init failed: {e}")),
-                }
-            }
-            Err(e) => store.error = Some(format!("memo create failed: {e}")),
-        }
-        store
     }
 
     /// Cached entry for `key`, if any.
@@ -227,20 +139,9 @@ impl MemoStore {
     /// disables the store for the rest of the run (first error kept); the
     /// in-memory map is updated regardless so this run still hits.
     pub fn insert(&mut self, key: u64, entry: &JournalEntry) {
-        if let Some(f) = self.file.as_mut() {
-            let mut payload = Vec::with_capacity(256);
-            payload.extend_from_slice(&key.to_le_bytes());
-            payload.extend_from_slice(&encode_entry(entry));
-            let mut rec = Vec::with_capacity(payload.len() + 12);
-            rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            rec.extend_from_slice(&payload);
-            if let Err(e) = f.write_all(&rec).and_then(|()| f.sync_data()) {
-                self.file = None;
-                if self.error.is_none() {
-                    self.error = Some(format!("memo append failed: {e}"));
-                }
-            }
+        if let Some(Err(e)) = self.log.as_mut().map(|log| log.append(key, entry)) {
+            self.log = None;
+            self.error.get_or_insert(format!("memo append failed: {e}"));
         }
         self.entries.insert(key, entry.clone());
     }
@@ -249,6 +150,7 @@ impl MemoStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::code_salt;
     use crate::report::Row;
     use crate::sweep::CellData;
 

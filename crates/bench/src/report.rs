@@ -276,8 +276,8 @@ pub struct CellStat {
     pub sim_cycles: u64,
     /// Execution attempts the outcome took (1 = first try; retries add up).
     pub attempts: u32,
-    /// Whether the outcome was replayed from a resume journal instead of
-    /// executed this run.
+    /// Whether the outcome was replayed — from the resume journal or the
+    /// memo store — instead of executed this run.
     pub cached: bool,
     /// Simulation metrics sidecar, populated when the sweep ran with metrics
     /// collection enabled and the cell produced engine metrics (`None` for

@@ -30,15 +30,18 @@
 //!   `max_retries` times, each attempt on a deterministically re-split RNG
 //!   stream (attempt 0 uses the unchanged stream, so retry-free runs are
 //!   byte-identical to the engine without this feature);
-//! * **checkpoint journal** — every outcome is appended (fsync'd,
-//!   checksummed) to a [`crate::journal`] file; with `resume` the journal's
-//!   intact prefix is replayed and only missing or failed cells execute.
+//! * **checkpoint journal and memo** — every finished cell is one
+//!   [`JournalEntry`] record, appended (fsync'd, checksummed) to the
+//!   [`crate::journal`] record log and filled into the [`crate::memo`]
+//!   store; with `resume` the journal's intact prefix is replayed, memo
+//!   hits replay across runs, and only missing or failed cells execute.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::journal::{read_journal, JournalEntry, JournalError, JournalWriter};
+use crate::journal::{code_salt, journal_scope, JournalEntry, JournalReplay, RecordLog};
+use crate::memo::MemoStore;
 use crate::report::{CellStat, Figure, Row, SweepReport};
 use aff_nsc::engine::Metrics;
 use aff_sim_core::config::MachineConfig;
@@ -97,22 +100,13 @@ impl From<SuiteRun> for CellData {
     }
 }
 
-/// Outcome of one executed cell.
-#[derive(Debug, Clone)]
-pub struct CellOutcome {
-    /// Cell label (row-oriented, e.g. `"bfs/Hybrid-5"`).
-    pub label: String,
-    /// Data, or the cell-level error message.
-    pub result: Result<CellData, String>,
-}
-
 /// Read access to a plan's executed cells, indexed by the ids
 /// [`PlanBuilder::cell`] returned. All accessors are failure-tolerant:
 /// a failed (or differently-shaped) cell reads as `None`, so merge
 /// functions degrade to `NaN` rows instead of panicking.
 #[derive(Debug)]
 pub struct Outcomes<'a> {
-    cells: &'a [CellOutcome],
+    cells: &'a [JournalEntry],
 }
 
 impl<'a> Outcomes<'a> {
@@ -331,7 +325,7 @@ pub struct RunOpts {
     /// header; a mismatch on resume discards the journal.
     pub context: u64,
     /// Record the per-cell [`CellMetrics`](crate::report::CellMetrics)
-    /// sidecar (schema `aff-bench/sweep-v4`) for every cell that produces
+    /// sidecar (schema `aff-bench/sweep-v7`) for every cell that produces
     /// engine metrics. Off by default: the sidecar roughly doubles the sweep
     /// report and most runs only need the throughput columns.
     pub collect_metrics: bool,
@@ -342,8 +336,8 @@ pub struct RunOpts {
     /// violation fails the cell soft — into the same retry/journal
     /// machinery as a panic — rather than aborting the sweep.
     pub chaos: Option<u64>,
-    /// Fault-event budget per sampled chaos timeline (0 means the default
-    /// of 4; only read when `chaos` is set).
+    /// Fault-event budget per sampled chaos timeline (0 means
+    /// [`DEFAULT_CHAOS_INTENSITY`]; only read when `chaos` is set).
     pub chaos_intensity: u32,
     /// Cross-run memo store path ([`crate::memo`]); `None` disables
     /// memoization. Unlike the journal — which pins one experiment — the
@@ -356,6 +350,9 @@ pub struct RunOpts {
     pub memo_config: u64,
 }
 
+/// Fault events per chaos timeline when [`RunOpts::chaos_intensity`] is 0.
+pub const DEFAULT_CHAOS_INTENSITY: u32 = 4;
+
 impl RunOpts {
     /// Legacy options: run everything, no timeout/retry/journal.
     pub fn new(jobs: usize, seed: u64) -> Self {
@@ -363,6 +360,16 @@ impl RunOpts {
             jobs,
             seed,
             ..Self::default()
+        }
+    }
+
+    /// The chaos intensity this run samples: as configured, 0 meaning
+    /// [`DEFAULT_CHAOS_INTENSITY`]. Memo keys hash this value, so 0 and the
+    /// default share cells.
+    fn chaos_events(&self) -> u32 {
+        match self.chaos_intensity {
+            0 => DEFAULT_CHAOS_INTENSITY,
+            n => n,
         }
     }
 }
@@ -373,6 +380,8 @@ struct Task {
     figure: &'static str,
     label: String,
     job: CellJob,
+    /// Content key of the cell's record (see [`crate::memo`]).
+    key: u64,
 }
 
 /// Stream perturbation for retry attempt `k`: zero for `k = 0` (first
@@ -383,22 +392,26 @@ fn retry_stream(base: u64, attempt: u32) -> u64 {
     base ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
-/// The metrics sidecar for one cell result, when collection is enabled and
-/// the cell produced engine metrics (table-style and failed cells read as
-/// `None`). Cached journal replays go through here too, so a resumed run's
-/// report carries the same sidecars as an uninterrupted one.
-fn sidecar(
-    result: &Result<CellData, String>,
-    opts: &RunOpts,
-) -> Option<crate::report::CellMetrics> {
-    if !opts.collect_metrics {
-        return None;
+/// The report row for one finished cell — executed, journal-replayed and
+/// memo-replayed alike, so a resumed or memoized run's report carries the
+/// same sidecars as an uninterrupted one. The metrics sidecar is recorded
+/// when collection is enabled and the cell produced engine metrics.
+fn cell_stat(entry: &JournalEntry, cached: bool, opts: &RunOpts) -> CellStat {
+    let data = entry.result.as_ref().ok();
+    CellStat {
+        figure: entry.figure.clone(),
+        label: entry.label.clone(),
+        ok: data.is_some(),
+        error: entry.result.as_ref().err().cloned(),
+        wall_ns: entry.wall_ns,
+        sim_cycles: data.map_or(0, CellData::sim_cycles),
+        attempts: entry.attempts,
+        cached,
+        metrics: data
+            .filter(|_| opts.collect_metrics)
+            .and_then(CellData::metrics)
+            .map(crate::report::CellMetrics::from),
     }
-    result
-        .as_ref()
-        .ok()
-        .and_then(CellData::metrics)
-        .map(crate::report::CellMetrics::from)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -415,11 +428,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn chaos_timeline(opts: &RunOpts, stream: u64) -> Option<FaultTimeline> {
     opts.chaos.map(|chaos_seed| {
         let mut rng = SimRng::split(chaos_seed, stream);
-        FaultTimeline::chaos(
-            &mut rng,
-            &MachineConfig::paper_default(),
-            opts.chaos_intensity.max(4),
-        )
+        FaultTimeline::chaos(&mut rng, &MachineConfig::paper_default(), opts.chaos_events())
     })
 }
 
@@ -534,12 +543,8 @@ fn attempt_cell(
 }
 
 /// Run one task under the retry/timeout policy, catching panics so a broken
-/// cell degrades to an error outcome instead of killing the harness.
-fn run_task(
-    task: Task,
-    opts: &RunOpts,
-    inputs: Option<&Arc<InputCache>>,
-) -> (usize, usize, CellOutcome, CellStat) {
+/// cell degrades to an error record instead of killing the harness.
+fn run_task(task: Task, opts: &RunOpts, inputs: Option<&Arc<InputCache>>) -> JournalEntry {
     let base_stream = stream_id(task.figure, task.cell_idx);
     let start = Instant::now();
     let mut attempts = 0u32;
@@ -551,123 +556,84 @@ fn run_task(
             break result;
         }
     };
-    let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let stat = CellStat {
+    JournalEntry {
         figure: task.figure.to_string(),
-        label: task.label.clone(),
-        ok: result.is_ok(),
-        error: result.as_ref().err().cloned(),
-        wall_ns,
-        sim_cycles: result.as_ref().map_or(0, CellData::sim_cycles),
+        cell_idx: task.cell_idx as u64,
+        label: task.label,
         attempts,
-        cached: false,
-        metrics: sidecar(&result, opts),
-    };
-    (
-        task.plan_idx,
-        task.cell_idx,
-        CellOutcome {
-            label: task.label,
-            result,
-        },
-        stat,
-    )
+        wall_ns: start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+        result,
+    }
 }
 
-/// Mutable journal side of a run: the writer (when journaling is on) and the
-/// first [`SimError::Journal`] that disabled it. Workers serialize on a mutex
-/// around this — appends are tiny next to cell compute time.
-struct JournalState {
-    writer: Option<JournalWriter>,
-    error: Option<SimError>,
+/// Where a finished cell's record came from this run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Executed,
+    Journal,
+    Memo,
 }
 
-impl JournalState {
-    /// Degrade to journal-less execution: drop the writer, keep the typed
+/// One finished cell: its record, where it came from, and its plan.
+struct Done {
+    plan_idx: usize,
+    entry: JournalEntry,
+    source: Source,
+}
+
+/// The durable side of a run: the journal (when journaling is on) with the
+/// first [`SimError::Journal`] that disabled it, and the memo store (when
+/// memoization is on). Workers serialize on one mutex around it — appends
+/// are tiny next to cell compute time.
+struct Records {
+    journal: Option<RecordLog>,
+    journal_error: Option<SimError>,
+    memo: Option<MemoStore>,
+}
+
+impl Records {
+    /// Degrade to journal-less execution: drop the log, keep the typed
     /// error for the report, and warn immediately on stderr — a full disk
     /// (`ENOSPC`) or dying device (`EIO`) mid-sweep costs durability, never
     /// the figures.
     fn degrade(&mut self, op: &'static str, err: &std::io::Error) {
-        self.writer = None;
+        self.journal = None;
         let typed = SimError::journal(op, err);
         eprintln!("warning: {typed}");
-        self.error = Some(typed);
+        self.journal_error = Some(typed);
+    }
+
+    /// The one record step for a finished cell: append it to the journal
+    /// unless it was replayed from there (so a later `--resume` sees memo
+    /// hits too), and memoize it unless the memo already holds its key.
+    /// Failed cells are never memoized — they retry on the next run.
+    fn record(&mut self, key: u64, entry: &JournalEntry, source: Source) {
+        if source != Source::Journal {
+            if let Some(Err(e)) = self.journal.as_mut().map(|log| log.append(key, entry)) {
+                self.degrade("append", &e);
+            }
+        }
+        if let Some(memo) = self.memo.as_mut() {
+            if entry.result.is_ok() && memo.get(key).is_none() {
+                memo.insert(key, entry);
+            }
+        }
     }
 }
 
-/// Memo key for one task under this run's options — the content hash of
+/// Memo key for one cell under this run's options — the content hash of
 /// everything the cell's bytes depend on (see [`crate::memo`]).
-fn memo_key_for(task: &Task, opts: &RunOpts, salt: u64) -> u64 {
+fn memo_key_for(figure: &str, cell_idx: usize, label: &str, opts: &RunOpts, salt: u64) -> u64 {
     crate::memo::memo_key(&crate::memo::KeyParts {
         salt,
         config: opts.memo_config,
         seed: opts.seed,
         chaos: opts.chaos,
-        chaos_intensity: opts.chaos_intensity,
-        figure: task.figure,
-        cell_idx: task.cell_idx as u64,
-        label: &task.label,
+        chaos_intensity: opts.chaos_events(),
+        figure,
+        cell_idx: cell_idx as u64,
+        label,
     })
-}
-
-/// Record one successfully executed cell in the memo store (when one is
-/// open). Failed cells are never memoized — they retry on the next run.
-fn memo_fill(
-    memo: &Mutex<Option<crate::memo::MemoStore>>,
-    key: Option<u64>,
-    figure: &str,
-    cell_idx: usize,
-    outcome: &CellOutcome,
-    stat: &CellStat,
-) {
-    let Some(key) = key else { return };
-    if outcome.result.is_err() {
-        return;
-    }
-    let mut m = memo
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(store) = m.as_mut() {
-        store.insert(
-            key,
-            &JournalEntry {
-                figure: figure.to_string(),
-                cell_idx: cell_idx as u64,
-                label: outcome.label.clone(),
-                attempts: stat.attempts,
-                wall_ns: stat.wall_ns,
-                result: outcome.result.clone(),
-            },
-        );
-    }
-}
-
-/// Append one finished cell to the journal; an append failure (fsync/write —
-/// ENOSPC, EIO, ...) disables journaling for the rest of the run via
-/// [`JournalState::degrade`] rather than aborting the sweep.
-fn journal_append(
-    state: &Mutex<JournalState>,
-    figure: &str,
-    cell_idx: usize,
-    outcome: &CellOutcome,
-    stat: &CellStat,
-) {
-    let mut s = state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(w) = s.writer.as_mut() {
-        let entry = JournalEntry {
-            figure: figure.to_string(),
-            cell_idx: cell_idx as u64,
-            label: outcome.label.clone(),
-            attempts: stat.attempts,
-            wall_ns: stat.wall_ns,
-            result: outcome.result.clone(),
-        };
-        if let Err(e) = w.append(&entry) {
-            s.degrade("append", &e);
-        }
-    }
 }
 
 /// Execute `plans` with `jobs` workers and merge each plan's figure in
@@ -706,6 +672,7 @@ pub(crate) fn run_plans_with_inputs(
 ) -> (Vec<Figure>, SweepReport) {
     let jobs = opts.jobs.max(1);
     let seed = opts.seed;
+    let salt = code_salt();
     let total_start = Instant::now();
 
     // Flatten every plan's cells into one task list (stable global order).
@@ -717,7 +684,8 @@ pub(crate) fn run_plans_with_inputs(
             tasks.push(Task {
                 plan_idx,
                 cell_idx,
-                figure: shapes[plan_idx].1,
+                figure: plan.figure,
+                key: memo_key_for(plan.figure, cell_idx, &cell.label, opts, salt),
                 label: cell.label,
                 job: cell.job,
             });
@@ -726,8 +694,8 @@ pub(crate) fn run_plans_with_inputs(
     let n_tasks = tasks.len();
 
     // Harvest longest-cell-first scheduling hints from whatever journal the
-    // previous run left, *before* the writer truncates it below. The lenient
-    // read ignores the seed/context header on purpose: a stale journal still
+    // previous run left, *before* the log is truncated below. The lenient
+    // scan ignores the salt/scope header on purpose: a stale journal still
     // predicts which cells are big, and hints only shape the work-stealing
     // seed order — never output bytes.
     let wall_hints: std::collections::BTreeMap<(String, u64), u64> = opts
@@ -736,139 +704,70 @@ pub(crate) fn run_plans_with_inputs(
         .map(crate::journal::read_wall_hints)
         .unwrap_or_default();
 
-    // Journal setup: resume replays the intact prefix (cached entries skip
-    // execution below); a missing or mismatched journal re-runs everything
-    // against a fresh file; I/O errors degrade to no journaling, recorded in
-    // the report.
-    let mut cached: std::collections::BTreeMap<(String, u64), JournalEntry> = Default::default();
-    let mut journal = JournalState {
-        writer: None,
-        error: None,
+    // Open both indexes over the record log. Resume replays the journal's
+    // intact prefix (cached entries skip execution below); a missing or
+    // stale journal re-runs everything against a fresh file; I/O errors
+    // degrade to no journaling, recorded in the report. The memo persists
+    // across runs; a stale store (other code) was already discarded.
+    let mut records = Records {
+        journal: None,
+        journal_error: None,
+        memo: opts.memo.as_deref().map(|p| MemoStore::open(p, salt)),
     };
+    let mut journaled = Default::default();
     if let Some(path) = &opts.journal {
-        let (op, created) = if opts.resume {
-            match read_journal(path, seed, opts.context) {
-                Ok(replay) => {
-                    cached = replay.entries;
-                    ("resume", JournalWriter::resume(path, replay.valid_len))
+        match RecordLog::open(path, salt, journal_scope(seed, opts.context), opts.resume) {
+            Ok((log, replayed)) => {
+                if replayed.stale {
+                    eprintln!("note: journal was from another experiment or code version; re-running every cell");
                 }
-                Err(JournalError::Missing | JournalError::HeaderMismatch) => {
-                    ("create", JournalWriter::create(path, seed, opts.context))
-                }
-                Err(JournalError::Io(e)) => ("resume", Err(e)),
+                journaled = JournalReplay::from(replayed).entries;
+                records.journal = Some(log);
             }
-        } else {
-            ("create", JournalWriter::create(path, seed, opts.context))
-        };
-        match created {
-            Ok(w) => journal.writer = Some(w),
-            Err(e) => journal.degrade(op, &e),
+            Err((op, e)) => records.degrade(op, &e),
         }
     }
-
-    // Cross-run memo store: unlike the journal above — scoped to one
-    // experiment and truncated by every fresh run — the memo persists cells
-    // across runs keyed by content hash. A stale store (salt from another
-    // code version) was already discarded by `open`.
-    let memo_salt = crate::memo::code_salt();
-    let mut memo_store = opts
-        .memo
-        .as_deref()
-        .map(|p| crate::memo::MemoStore::open(p, memo_salt));
-    if let Some(err) = memo_store.as_ref().and_then(|m| m.error.as_deref()) {
+    if let Some(err) = records.memo.as_ref().and_then(|m| m.error.as_deref()) {
         eprintln!("warning: memo store disabled: {err}");
     }
-    if memo_store.as_ref().is_some_and(|m| m.invalidated) {
+    if records.memo.as_ref().is_some_and(|m| m.invalidated) {
         eprintln!("note: memo store was stale (different code version); starting fresh");
     }
 
-    // Split tasks into journal hits (successful outcome for the exact same
-    // figure/cell/label), memo hits (successful outcome under the exact
-    // content hash), and cells that still need to run. Failed journal or
-    // memo entries are deliberately *not* reused: they retry.
-    let mut done: Vec<(usize, usize, CellOutcome, CellStat)> = Vec::with_capacity(n_tasks);
-    let mut to_run: Vec<Task> = Vec::with_capacity(tasks.len());
-    let mut memo_hits = 0usize;
+    // Split tasks into journal hits, memo hits, and cells that still need
+    // to run. A hit must be a successful record of the exact same figure,
+    // cell and label — the memo's 64-bit key already covers them, but a
+    // hash collision must degrade to a miss, never a wrong replay. Failed
+    // records are deliberately *not* reused: they retry.
+    let mut done: Vec<Done> = Vec::with_capacity(n_tasks);
+    let mut to_run: Vec<Task> = Vec::with_capacity(n_tasks);
     for t in tasks {
-        let hit = cached
-            .get(&(t.figure.to_string(), t.cell_idx as u64))
-            .filter(|e| e.label == t.label && e.result.is_ok());
-        if let Some(e) = hit {
-            let stat = CellStat {
-                figure: t.figure.to_string(),
-                label: t.label.clone(),
-                ok: true,
-                error: None,
-                wall_ns: e.wall_ns,
-                sim_cycles: e.result.as_ref().map_or(0, |d| d.sim_cycles()),
-                attempts: e.attempts,
-                cached: true,
-                metrics: sidecar(&e.result, opts),
-            };
-            // Warm the memo from the journal replay too: resumed cells are
-            // just as reusable by future runs as freshly executed ones.
-            if let Some(m) = memo_store.as_mut() {
-                let key = memo_key_for(&t, opts, memo_salt);
-                if m.get(key).is_none() {
-                    m.insert(key, e);
-                }
-            }
-            done.push((
-                t.plan_idx,
-                t.cell_idx,
-                CellOutcome {
-                    label: t.label,
-                    result: e.result.clone(),
-                },
-                stat,
-            ));
-            continue;
-        }
-        let memo_entry = memo_store.as_ref().and_then(|m| {
-            m.get(memo_key_for(&t, opts, memo_salt))
-                // The key already covers figure/cell/label, but a hash
-                // collision must degrade to a miss, never a wrong replay.
-                .filter(|e| {
-                    e.figure == t.figure && e.cell_idx == t.cell_idx as u64 && e.label == t.label
-                })
-                .filter(|e| e.result.is_ok())
-                .cloned()
-        });
-        match memo_entry {
-            Some(e) => {
-                memo_hits += 1;
-                let stat = CellStat {
-                    figure: t.figure.to_string(),
-                    label: t.label.clone(),
-                    ok: true,
-                    error: None,
-                    wall_ns: e.wall_ns,
-                    sim_cycles: e.result.as_ref().map_or(0, |d| d.sim_cycles()),
-                    attempts: e.attempts,
-                    cached: true,
-                    metrics: sidecar(&e.result, opts),
-                };
-                // Keep the journal complete: a replayed cell is appended so
-                // a later --resume of *this* experiment sees it.
-                if let Some(w) = journal.writer.as_mut() {
-                    if let Err(err) = w.append(&e) {
-                        journal.degrade("append", &err);
-                    }
-                }
-                done.push((
-                    t.plan_idx,
-                    t.cell_idx,
-                    CellOutcome {
-                        label: t.label,
-                        result: e.result,
-                    },
-                    stat,
-                ));
+        let same = |e: &JournalEntry| {
+            e.figure == t.figure
+                && e.cell_idx == t.cell_idx as u64
+                && e.label == t.label
+                && e.result.is_ok()
+        };
+        let hit = journaled
+            .remove(&(t.figure.to_string(), t.cell_idx as u64))
+            .filter(|e| same(e))
+            .map(|e| (e, Source::Journal))
+            .or_else(|| {
+                let memo = records.memo.as_ref()?;
+                memo.get(t.key).filter(|e| same(e)).map(|e| (e.clone(), Source::Memo))
+            });
+        match hit {
+            Some((entry, source)) => {
+                records.record(t.key, &entry, source);
+                done.push(Done {
+                    plan_idx: t.plan_idx,
+                    entry,
+                    source,
+                });
             }
             None => to_run.push(t),
         }
     }
-    let resumed_cells = done.len() - memo_hits;
 
     // Execute. `--jobs 1` runs cells inline in declaration order. Parallel
     // runs use a work-stealing pool: each worker owns a deque of task
@@ -881,23 +780,25 @@ pub(crate) fn run_plans_with_inputs(
     // (the victim's smallest), which keeps the expensive cells with the
     // workers that were seeded for them. Results carry their (plan, cell)
     // coordinates and cell RNG streams split from order-insensitive ids, so
-    // neither seeding nor stealing can change output bytes. Each finished
-    // cell is journaled before the worker moves on, so a kill at any
-    // instant loses at most the cells then in flight.
-    let journal = Mutex::new(journal);
-    let memo = Mutex::new(memo_store);
-    let executed: Vec<(usize, usize, CellOutcome, CellStat)> = if jobs == 1 || to_run.len() <= 1 {
-        to_run
-            .into_iter()
-            .map(|t| {
-                let key = opts.memo.is_some().then(|| memo_key_for(&t, opts, memo_salt));
-                let figure = t.figure;
-                let r = run_task(t, opts, inputs);
-                journal_append(&journal, figure, r.1, &r.2, &r.3);
-                memo_fill(&memo, key, figure, r.1, &r.2, &r.3);
-                r
-            })
-            .collect()
+    // neither seeding nor stealing can change output bytes. Both paths run
+    // `execute`, which records each finished cell before the worker moves
+    // on, so a kill at any instant loses at most the cells then in flight.
+    let records = Mutex::new(records);
+    let execute = |t: Task| {
+        let (plan_idx, key) = (t.plan_idx, t.key);
+        let entry = run_task(t, opts, inputs);
+        records
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .record(key, &entry, Source::Executed);
+        Done {
+            plan_idx,
+            entry,
+            source: Source::Executed,
+        }
+    };
+    let executed: Vec<Done> = if jobs == 1 || to_run.len() <= 1 {
+        to_run.into_iter().map(execute).collect()
     } else {
         let n_run = to_run.len();
         let workers = jobs.min(n_run);
@@ -926,8 +827,7 @@ pub(crate) fn run_plans_with_inputs(
                 .map(|w| {
                     let slots = &slots;
                     let deques = &deques;
-                    let journal = &journal;
-                    let memo = &memo;
+                    let execute = &execute;
                     scope.spawn(move || {
                         let mut out = Vec::new();
                         loop {
@@ -953,17 +853,7 @@ pub(crate) fn run_plans_with_inputs(
                                 .lock()
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                                 .take();
-                            if let Some(task) = task {
-                                let key = opts
-                                    .memo
-                                    .is_some()
-                                    .then(|| memo_key_for(&task, opts, memo_salt));
-                                let figure = task.figure;
-                                let r = run_task(task, opts, inputs);
-                                journal_append(journal, figure, r.1, &r.2, &r.3);
-                                memo_fill(memo, key, figure, r.1, &r.2, &r.3);
-                                out.push(r);
-                            }
+                            out.extend(task.map(execute));
                         }
                         out
                     })
@@ -979,33 +869,40 @@ pub(crate) fn run_plans_with_inputs(
     // The report serializes the typed error's stable rendering; its `kind()`
     // tag ("journal") prefixes it so downstream tooling can dispatch without
     // string-matching the message.
-    let journal_error = journal
+    let journal_error = records
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .error
+        .journal_error
         .map(|e| format!("{}: {e}", e.kind()));
 
-    // Scatter outcomes back into declaration order.
-    let mut per_plan: Vec<Vec<Option<CellOutcome>>> =
+    // Scatter records back into declaration order. Stats sort by (plan,
+    // cell), i.e. declaration order, so the report is itself deterministic
+    // up to the measured wall times.
+    done.sort_by_key(|d| (d.plan_idx, d.entry.cell_idx));
+    let count = |source| done.iter().filter(|d| d.source == source).count();
+    let (resumed_cells, memo_hits) = (count(Source::Journal), count(Source::Memo));
+    let mut per_plan: Vec<Vec<Option<JournalEntry>>> =
         shapes.iter().map(|(n, _, _)| vec![None; *n]).collect();
-    // Stats sort by (plan, cell), i.e. declaration order, so the report is
-    // itself deterministic up to the measured wall times.
-    done.sort_by_key(|(p, c, _, _)| (*p, *c));
     let mut stats: Vec<CellStat> = Vec::with_capacity(n_tasks);
-    for (plan_idx, cell_idx, outcome, stat) in done {
-        per_plan[plan_idx][cell_idx] = Some(outcome);
-        stats.push(stat);
+    for d in done {
+        stats.push(cell_stat(&d.entry, d.source != Source::Executed, opts));
+        let slot = d.entry.cell_idx as usize;
+        per_plan[d.plan_idx][slot] = Some(d.entry);
     }
 
     // Merge, in plan declaration order.
     let mut figures = Vec::with_capacity(shapes.len());
     for ((_, figure, merge), outcomes) in shapes.into_iter().zip(per_plan) {
-        let cells: Vec<CellOutcome> = outcomes
+        let cells: Vec<JournalEntry> = outcomes
             .into_iter()
             .enumerate()
             .map(|(i, o)| {
-                o.unwrap_or(CellOutcome {
+                o.unwrap_or_else(|| JournalEntry {
+                    figure: figure.to_string(),
+                    cell_idx: i as u64,
                     label: format!("{figure}#{i}"),
+                    attempts: 0,
+                    wall_ns: 0,
                     result: Err("cell was never executed (worker died)".to_string()),
                 })
             })
@@ -1131,9 +1028,10 @@ mod tests {
         let dir = std::env::temp_dir().join("aff-sweep-tests");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join(format!("hints-{}.journal", std::process::id()));
-        let mut w = JournalWriter::create(&path, 777, 888).expect("create");
+        let scope = journal_scope(777, 888);
+        let (mut w, _) = RecordLog::open(&path, code_salt(), scope, false).expect("create");
         for (i, wall) in [(0u64, 5u64), (1, 500_000_000), (2, 10), (3, 7), (4, 100)] {
-            w.append(&JournalEntry {
+            w.append(0, &JournalEntry {
                 figure: "a".into(),
                 cell_idx: i,
                 label: format!("cell{i}"),
@@ -1223,6 +1121,111 @@ mod tests {
             assert_eq!(executions.load(Ordering::SeqCst), before + 4);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_and_memo_compose() {
+        // A memo hit is appended to the journal, a resumed journal warms an
+        // empty memo, and every combination replays the cold run's bytes.
+        let dir = std::env::temp_dir().join("aff-sweep-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let file = |name: &str| dir.join(format!("compose-{}.{name}", std::process::id()));
+        let (memo, fresh_memo, journal) = (file("memo"), file("memo2"), file("journal"));
+        for p in [&memo, &fresh_memo, &journal] {
+            std::fs::remove_file(p).ok();
+        }
+        let plans = || vec![toy_plan("a"), toy_plan("b")];
+        let json = |figs: &[Figure]| figs.iter().map(Figure::to_json).collect::<Vec<_>>();
+        let opts = |memo: Option<&std::path::PathBuf>, journaled: bool, resume: bool| RunOpts {
+            memo: memo.cloned(),
+            journal: journaled.then(|| journal.clone()),
+            resume,
+            context: 5,
+            ..RunOpts::new(2, 42)
+        };
+        let (cold, report) = run_plans_opts(plans(), &opts(Some(&memo), false, false));
+        assert_eq!(report.memo_hits, 0);
+        let cold = json(&cold);
+
+        // Every cell replays from the memo and lands in the fresh journal …
+        let (warm, report) = run_plans_opts(plans(), &opts(Some(&memo), true, false));
+        assert_eq!((report.memo_hits, report.resumed_cells), (10, 0));
+        assert_eq!(json(&warm), cold);
+        // … so resuming that journal without the memo replays all of them.
+        let (resumed, report) = run_plans_opts(plans(), &opts(None, true, true));
+        assert_eq!((report.memo_hits, report.resumed_cells), (0, 10));
+        assert_eq!(json(&resumed), cold);
+
+        // Resuming into an empty memo store warms it from the journal.
+        let (resumed, report) = run_plans_opts(plans(), &opts(Some(&fresh_memo), true, true));
+        assert_eq!((report.memo_hits, report.resumed_cells), (0, 10));
+        assert_eq!(json(&resumed), cold);
+        let (replayed, report) = run_plans_opts(plans(), &opts(Some(&fresh_memo), false, false));
+        assert_eq!(report.memo_hits, 10);
+        assert_eq!(json(&replayed), cold);
+
+        // A warm memo and a resumed journal together: still the cold bytes.
+        let (both, report) = run_plans_opts(plans(), &opts(Some(&fresh_memo), true, true));
+        assert_eq!(report.memo_hits + report.resumed_cells, 10);
+        assert!(report.cells.iter().all(|c| c.cached && c.ok));
+        assert_eq!(json(&both), cold);
+        for p in [&memo, &fresh_memo, &journal] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn journal_from_other_code_is_refused_but_still_hints() {
+        // A journal for this very experiment, written by a build with another
+        // code salt, holding plausible successful records: resuming must
+        // re-run every cell, while its wall times still seed the scheduler.
+        let dir = std::env::temp_dir().join("aff-sweep-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(format!("salt-{}.journal", std::process::id()));
+        let scope = journal_scope(42, 5);
+        let (mut w, _) = RecordLog::open(&path, code_salt() ^ 1, scope, false).expect("create");
+        for i in 0..5u64 {
+            let entry = JournalEntry {
+                figure: "a".into(),
+                cell_idx: i,
+                label: format!("cell{i}"),
+                attempts: 1,
+                wall_ns: 1_000 * (i + 1),
+                result: Ok(CellData::Rows {
+                    rows: vec![Row::new(format!("cell{i}"), vec![-1.0])],
+                    sim_cycles: i,
+                }),
+            };
+            w.append(0, &entry).expect("append");
+        }
+        drop(w);
+        assert_eq!(crate::journal::read_wall_hints(&path).len(), 5);
+        let opts = RunOpts {
+            journal: Some(path.clone()),
+            resume: true,
+            context: 5,
+            ..RunOpts::new(2, 42)
+        };
+        let (fresh, _) = run_plans(vec![toy_plan("a")], 1, 42);
+        let (resumed, report) = run_plans_opts(vec![toy_plan("a")], &opts);
+        assert_eq!(report.resumed_cells, 0, "a journal from other code must not resume");
+        assert_eq!(resumed[0].to_json(), fresh[0].to_json());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chaos_intensity_is_used_as_given_and_zero_means_default() {
+        let timeline = |intensity| {
+            let opts = RunOpts {
+                chaos: Some(7),
+                chaos_intensity: intensity,
+                ..RunOpts::new(1, 42)
+            };
+            let tl = chaos_timeline(&opts, stream_id("fig4", 0)).expect("chaos on");
+            (tl.events().to_vec(), memo_key_for("fig4", 0, "cell", &opts, 1))
+        };
+        assert_ne!(timeline(1), timeline(DEFAULT_CHAOS_INTENSITY));
+        assert_eq!(timeline(0), timeline(DEFAULT_CHAOS_INTENSITY));
     }
 
     #[test]
